@@ -272,7 +272,7 @@ class PagedKVArena:
         return self._sequences_opened - self._sequences_released
 
     def stats(self) -> dict:
-        """Allocation counters for monitoring and the continuous benchmark."""
+        """Allocation counters for monitoring and the benchmark."""
         return {
             "page_size": self.page_size,
             "num_pages": self._num_pages,

@@ -332,8 +332,8 @@ class T5Model(Module):
         ``"float32"``); the whole generation — encoder pass, decode steps, KV
         caches — runs under :func:`repro.nn.tensor.autocast` with it.
         Reduced precision can flip near-tied argmax decisions, so fp32 output
-        agrees with fp64 to a high but not bitwise rate; the decode benchmark
-        measures and gates it (see ``docs/numerics.md``).
+        agrees with fp64 to a high but not bitwise rate; the precision tests
+        gate it (see ``docs/numerics.md``).
         """
         input_ids = np.atleast_2d(np.asarray(input_ids, dtype=np.int64))
         max_length = max_length or self.config.max_decode_length

@@ -107,12 +107,10 @@ class PipelineConfig:
     model's own ``config.precision``; ``"float32"`` / ``"int8"`` trade exact
     float64 reproduction for throughput — see ``docs/numerics.md`` — and
     ``"int8"`` requires the backend model to be quantized already).
-    ``continuous`` routes greedy DataVisT5 decoding through the token-level
-    continuous scheduler (:mod:`repro.serving.continuous`) instead of
-    lock-step batch decoding — same outputs bitwise, but sequences join and
-    leave the live batch per step, so short requests stop paying for long
-    batch-mates; it requires ``use_cache`` and does not affect rule-based
-    backends, which keep the micro-batcher.
+    With ``use_cache`` on, greedy DataVisT5 decoding runs through the
+    token-level continuous scheduler (:mod:`repro.serving.continuous`) —
+    sequences join and leave the live batch per step, so short requests stop
+    paying for long batch-mates; rule-based backends keep the micro-batcher.
     Neither knob overrides baseline backends: neural baselines own the
     equivalent constructor knobs configured where the baseline is built
     (e.g. ``{"type": "neural", "precision": "float32"}`` in a registry
@@ -131,7 +129,6 @@ class PipelineConfig:
     validate_predictions: bool = True
     attach_specs: bool = True
     use_cache: bool = True
-    continuous: bool = True
     precision: str | None = None
     corpus_top_k: int = 3
 
@@ -187,21 +184,15 @@ class _Engine:
     defers to the model's configured default.  ``precision="int8"`` over an
     unquantized DataVisT5 is a deployment misconfiguration and is rejected
     here, at construction, rather than surfacing as per-request failures
-    once traffic arrives.  ``continuous`` (with ``use_cache``) sends
-    DataVisT5 greedy decoding through the shared per-model
+    once traffic arrives.  With ``use_cache``, DataVisT5 greedy decoding
+    goes through the shared per-model
     :class:`~repro.serving.continuous.ContinuousDecodeLoop` — every engine
     cloned over the same backend model joins the same live token-level
-    batch, whichever worker thread it belongs to.
+    batch, whichever worker thread it belongs to; without it, the naive
+    reference decoder answers.
     """
 
-    def __init__(
-        self,
-        backend,
-        task: str,
-        use_cache: bool = True,
-        precision: str | None = None,
-        continuous: bool = True,
-    ):
+    def __init__(self, backend, task: str, use_cache: bool = True, precision: str | None = None):
         if precision == "int8" and isinstance(backend, DataVisT5) and not backend.quantized:
             raise ModelConfigError(
                 f"precision='int8' for task {task!r} requires a quantized backend model; "
@@ -211,14 +202,13 @@ class _Engine:
         self.task = task
         self.use_cache = use_cache
         self.precision = precision
-        self.continuous = continuous
 
     def predict_batch(self, prepared: list[_Prepared]) -> list[str]:
         """Run the backend over already-prepared requests, in order.
 
         Items carrying an ``on_text`` tap stream tag-stripped text deltas
-        while they decode (continuous DataVisT5 path only — the lock-step and
-        baseline paths answer atomically and rely on the stream's final
+        while they decode (continuous DataVisT5 path only — the naive-reference
+        and baseline paths answer atomically and rely on the stream's final
         reconciliation instead).
         """
         # One pipeline.generate span per traced item, opened before the
@@ -245,7 +235,7 @@ class _Engine:
     def _predict_batch(self, prepared: list[_Prepared], generate_spans: list) -> list[str]:
         backend = self.backend
         if isinstance(backend, DataVisT5):
-            if self.continuous and self.use_cache:
+            if self.use_cache:
                 on_text = None
                 if any(item.on_text is not None for item in prepared):
                     def on_text(index: int, delta: str, _items=prepared) -> None:
@@ -261,7 +251,7 @@ class _Engine:
                 )
             else:
                 outputs = backend.predict_batch(
-                    [item.source for item in prepared], use_cache=self.use_cache, precision=self.precision
+                    [item.source for item in prepared], use_cache=False, precision=self.precision
                 )
             return [strip_modality_tags(output) for output in outputs]
         if isinstance(backend, TextToVisBaseline):
@@ -400,11 +390,7 @@ class Pipeline:
             backend = backends[task] if backends[task] is not None else model
             if backend is not None:
                 self._engines[task] = _Engine(
-                    backend,
-                    task,
-                    use_cache=self.config.use_cache,
-                    precision=self.config.precision,
-                    continuous=self.config.continuous,
+                    backend, task, use_cache=self.config.use_cache, precision=self.config.precision
                 )
         self.corpus_index = corpus_index
         if corpus_index is not None:
@@ -667,7 +653,6 @@ class Pipeline:
                 task,
                 use_cache=engine.use_cache,
                 precision=precision if precision is not None else engine.precision,
-                continuous=engine.continuous,
             )
             for task, engine in self._engines.items()
             if isinstance(engine, _Engine)
@@ -689,7 +674,7 @@ class Pipeline:
         """Cache, batching and continuous-scheduler counters for every stage."""
         continuous: dict[str, dict] = {}
         for task, engine in self._engines.items():
-            if isinstance(engine, _Engine) and engine.continuous and isinstance(engine.backend, DataVisT5):
+            if isinstance(engine, _Engine) and engine.use_cache and isinstance(engine.backend, DataVisT5):
                 loops = continuous_loop_stats(engine.backend.model)
                 if loops:
                     continuous[task] = loops

@@ -1,9 +1,9 @@
 """The process-sharded serving tier: N worker processes, one gateway.
 
-``BENCH_serving.json`` showed the thread-backed :class:`~repro.serving.
-server.Server` buys only ~1.1-1.4x over synchronous serving because the
-pure-python hot loops are GIL-bound.  This module breaks out of the process:
-a :class:`ShardedServer` forks ``num_shards`` **worker-shard processes**,
+The thread-backed :class:`~repro.serving.server.Server` buys only
+~1.1-1.4x over synchronous serving because the pure-python hot loops are
+GIL-bound.  This module breaks out of the process: a
+:class:`ShardedServer` forks ``num_shards`` **worker-shard processes**,
 each of which builds its *own* :class:`~repro.serving.pipeline.Pipeline`
 clones from fingerprint-verified checkpoint paths through
 :class:`~repro.deploy.registry.ModelRegistry` — model weights are never
@@ -181,10 +181,10 @@ class ShardConfig:
     ``calibrated_service_ms`` (``None`` | float | ``{task: ms}`` dict) makes
     each shard sleep that long per *non-cached, successful* response after
     computing it — a deterministic, machine-independent stand-in for heavy
-    backend compute that the scale benchmark uses to measure the serving
-    fabric itself (the sleep releases the GIL and parallelizes perfectly
-    across processes, which real numpy inference on a multi-core host also
-    does).  Leave it ``None`` for production use.
+    backend compute that the chaos suite uses to keep a batch in flight long
+    enough to kill mid-service (the sleep releases the GIL and parallelizes
+    perfectly across processes, which real numpy inference on a multi-core
+    host also does).  Leave it ``None`` for production use.
 
     ``enable_fault_injection`` arms the ``fault`` control frame for the
     chaos tests; it must stay off outside tests.
@@ -581,8 +581,8 @@ class ShardedServer:
             responses = server.serve(requests)
 
     Thread-safe public API (every call marshals onto the gateway's private
-    event loop): :meth:`submit` / :meth:`serve` / :meth:`stream` /
-    :meth:`run_trace` for traffic; :meth:`deploy` / :meth:`rolling_swap` / :meth:`undeploy` /
+    event loop): :meth:`submit` / :meth:`serve` / :meth:`stream` for traffic;
+    :meth:`deploy` / :meth:`rolling_swap` / :meth:`undeploy` /
     :meth:`set_routes` / :meth:`set_canary` / :meth:`set_shadow` for the
     deployment lifecycle; :meth:`inject_fault` (tests only) and
     :meth:`stats` for observability.
@@ -743,18 +743,6 @@ class ShardedServer:
         yield ResponseChunk(
             task=request.task, seq=seq, final=True, response=response, request_id=request.request_id, trace=trace
         )
-
-    def run_trace(self, requests: list[Request], arrivals_s: list[float]) -> list[Response]:
-        """Open-loop replay: submit ``requests[i]`` at offset ``arrivals_s[i]`` seconds.
-
-        The arrival schedule is honored regardless of completion times (the
-        generator never waits for responses), which is what makes the scale
-        benchmark's throughput numbers honest under overload.  Returns the
-        responses position-aligned with ``requests``.
-        """
-        if len(requests) != len(arrivals_s):
-            raise ModelConfigError("run_trace needs one arrival offset per request")
-        return self._call(self._run_trace(list(requests), list(arrivals_s)))
 
     # -- deployment lifecycle -----------------------------------------------------------
     def deploy(self, ref: str) -> str:
@@ -1630,16 +1618,6 @@ class ShardedServer:
 
     async def _serve_async(self, requests: list[Request]) -> list[Response]:
         return list(await asyncio.gather(*(self._submit(request) for request in requests)))
-
-    async def _run_trace(self, requests: list[Request], arrivals_s: list[float]) -> list[Response]:
-        started = self._loop.time()
-        tasks: list[asyncio.Future] = []
-        for request, offset in zip(requests, arrivals_s):
-            delay = started + offset - self._loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            tasks.append(asyncio.ensure_future(self._submit(request)))
-        return list(await asyncio.gather(*tasks))
 
     # -- deployment lifecycle internals -------------------------------------------------
     async def _load_on_slot(self, slot: _Slot, ref: str, dep_id: str) -> None:

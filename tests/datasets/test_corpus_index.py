@@ -42,17 +42,21 @@ def build_documents(count: int = 30, seed: int = 13) -> list[CorpusDocument]:
     return documents
 
 
-def seeded_queries(documents: list[CorpusDocument], count: int = 200, seed: int = 29) -> list[str]:
-    """``count`` probes: shuffled token subsets of document text plus noise words."""
+def seeded_probes(documents: list[CorpusDocument], count: int = 200, seed: int = 29) -> list[tuple[str, str]]:
+    """``count`` (query, source doc_id) probes: shuffled token subsets of document text plus noise words."""
     rng = random.Random(seed)
-    queries = []
+    probes = []
     for _ in range(count):
         document = documents[rng.randrange(len(documents))]
         words = [w for w in document.text().split() if rng.random() > 0.4]
         words += rng.sample(TOPICS, rng.randrange(3))
         rng.shuffle(words)
-        queries.append(" ".join(words) or document.title)
-    return queries
+        probes.append((" ".join(words) or document.title, document.doc_id))
+    return probes
+
+
+def seeded_queries(documents: list[CorpusDocument]) -> list[str]:
+    return [query for query, _ in seeded_probes(documents)]
 
 
 def ranking_table(index: CorpusIndex, queries: list[str], top_k: int = 5) -> list[list[tuple]]:
@@ -80,6 +84,20 @@ class TestDeterminism:
         assert ranking_table(index, queries) == ranking_table(reloaded, queries)
         assert reloaded.fingerprint() == index.fingerprint()
         assert reloaded.documents == index.documents
+
+
+class TestRetrievalQuality:
+    def test_top3_hit_rate_over_seeded_paraphrases(self):
+        # A paraphrase keeps ~60% of its source document's tokens, shuffled,
+        # plus up to two off-topic words; the source must still rank top-3.
+        documents = build_documents()
+        index = CorpusIndex(documents)
+        probes = seeded_probes(documents)
+        hits = sum(
+            any(document.doc_id == source_id for document, _ in index.search(query, top_k=3))
+            for query, source_id in probes
+        )
+        assert hits / len(probes) >= 0.9
 
 
 class TestContentHash:

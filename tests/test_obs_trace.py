@@ -4,12 +4,14 @@ The acceptance bar for the observability layer: a single streamed
 ``corpus_qa`` request through a real forked-shard :class:`ShardedServer`
 must reconstruct, in the gateway's trace store, one tree containing the
 gateway, shard-dispatch, pipeline-stage and decode-step spans — one
-``trace_id`` throughout, every parent link resolving — and every streamed
-chunk must echo the trace context.
+``trace_id`` throughout, every parent link resolving — every streamed
+chunk must echo the trace context, and the shard's heartbeat-piggybacked
+metrics must merge into :meth:`ShardedServer.observability`.
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from repro.datasets.corpus import CorpusDocument, CorpusIndex
 from repro.deploy.registry import ModelRegistry
 from repro.obs.export import render_trace, span_tree
 from repro.obs.names import (
+    METRIC_CONTINUOUS_TOKENS_TOTAL,
     SPAN_DECODE_STEP,
     SPAN_GATEWAY_DISPATCH,
     SPAN_GATEWAY_REQUEST,
@@ -180,7 +183,22 @@ class TestEndToEndTrace:
             request = Request(task="corpus_qa", question="what does the bar chart of metric1 show")
             chunks = list(server.stream(request))
             response = assemble_stream(chunks)
+            # Shard counters ride the heartbeat, so poll until a post-decode
+            # beat has landed before reading the merged snapshot.
+            deadline = time.monotonic() + 5.0
+            while True:
+                observed = server.observability()
+                shard_tokens = observed["shards"].get("shard-0", {}).get("counters", {}).get(
+                    METRIC_CONTINUOUS_TOKENS_TOTAL, 0
+                )
+                if shard_tokens > 0 or time.monotonic() >= deadline:
+                    break
+                time.sleep(config.heartbeat_interval_ms / 1000.0)
         assert response.error is None, (response.error, response.detail)
+
+        # the shard's decoded-token count reached the gateway and was merged
+        assert shard_tokens > 0
+        assert observed["metrics"]["counters"][METRIC_CONTINUOUS_TOKENS_TOTAL] >= shard_tokens
 
         # every streamed chunk echoes the trace context
         assert chunks and all(chunk.trace is not None for chunk in chunks)

@@ -6,7 +6,7 @@ poisoning and recovery, registry memoization), the
 :class:`~repro.serving.batching.BatchWindow` boundary behaviour
 property-based (``max_wait_ms=0``, ``now == closes_at`` exact-boundary
 flush, ``remaining_wait`` clamping), and the pipeline-level guarantee that
-``continuous=True`` and ``continuous=False`` serve identical outputs.  The
+the continuous path serves what lock-step ``predict_batch`` decodes.  The
 multi-threaded soak test is marked ``slow``.
 """
 
@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.encoding.sequences import strip_modality_tags
 from repro.errors import ServingStateError
 from repro.nn.transformer import T5Model, TransformerConfig
 from repro.serving import (
     BatchWindow,
     ContinuousDecodeLoop,
     Pipeline,
-    PipelineConfig,
     Request,
     continuous_loop_for,
     continuous_loop_stats,
@@ -232,11 +232,10 @@ class TestPipelineContinuous:
         return requests
 
     def test_continuous_and_static_pipelines_agree(self, env, requests):
-        continuous = Pipeline.from_model(env["model"], config=PipelineConfig(continuous=True))
-        static = Pipeline.from_model(env["model"], config=PipelineConfig(continuous=False))
-        continuous_outputs = [r.output for r in continuous.serve(requests)]
-        static_outputs = [r.output for r in static.serve(requests)]
-        assert continuous_outputs == static_outputs
+        pipeline = Pipeline.from_model(env["model"])
+        sources = [pipeline.prepare(request).source for request in requests]
+        static_outputs = [strip_modality_tags(output) for output in env["model"].predict_batch(sources)]
+        assert [r.output for r in pipeline.serve(requests)] == static_outputs
 
     def test_continuous_predict_batch_matches_static_predict_batch(self, env):
         backend = env["model"]
@@ -245,7 +244,7 @@ class TestPipelineContinuous:
         assert continuous_predict_batch(backend, []) == []
 
     def test_pipeline_stats_expose_scheduler_counters(self, env, requests):
-        pipeline = Pipeline.from_model(env["model"], config=PipelineConfig(continuous=True))
+        pipeline = Pipeline.from_model(env["model"])
         pipeline.serve(requests)
         stats = pipeline.stats()
         assert "continuous" in stats
@@ -254,9 +253,3 @@ class TestPipelineContinuous:
         for loop_stats in loops.values():
             assert loop_stats["completed"] >= len(requests)
             assert loop_stats["arena"]["pages_in_use"] == 0
-
-    def test_continuous_config_roundtrips_from_dict(self):
-        pipeline = Pipeline.from_config(
-            {"vis_to_text": {"type": "heuristics"}, "pipeline": {"continuous": False}}
-        )
-        assert pipeline.config.continuous is False

@@ -294,6 +294,26 @@ class TestHotSwap:
         assert response.telemetry["deployment"] == "tagged@2"
         assert response.output.endswith("[v2]")
 
+    def test_hot_swap_retires_the_version_it_replaces(self, nvbench):
+        probes = _question_requests(8, nvbench.examples[0].query, salt="probe")
+
+        async def drive():
+            async with Server(_primary()) as server:
+                await server.deploy("incumbent@1", _primary())
+                server.set_routes("fevisqa", {"incumbent@1": 1.0})
+                before = await server.submit_all(probes)
+                await server.hot_swap("incumbent@2", _primary(), replaces="incumbent@1")
+                after = await server.submit_all(probes)
+            return before, after, server.stats()
+
+        before, after, stats = _run(drive())
+        assert "incumbent@1" not in stats["deployments"]  # drained and retired
+        assert all(response.telemetry["deployment"] == "incumbent@2" for response in after)
+        # fresh computes in the new version's cache namespace, not replays —
+        # and still bitwise-equal to what the incumbent answered
+        assert not any(response.cached for response in after)
+        assert [response.output for response in after] == [response.output for response in before]
+
     def test_undeploy_drains_inflight_work(self, nvbench):
         requests = _question_requests(10, nvbench.examples[0].query)
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.config import DataVisT5Config
 from repro.core.model import DataVisT5
+from repro.encoding.sequences import strip_modality_tags
 from repro.errors import ModelConfigError
 from repro.serving import Pipeline, PipelineConfig, Request, ServerConfig, serve_requests
 from repro.serving.registry import build_generation, build_text_to_vis
@@ -91,8 +92,8 @@ class TestContinuousStaticAgreement:
     Both int8 serving paths — the token-level continuous batching loop and
     the static ``predict_batch`` path — run float32 compute over the same
     dequantized masters, so their outputs must be *identical*, not merely
-    close.  A drift here is what once made ``BENCH_serving.json`` disagree
-    with ``BENCH_decode.json`` on the same quantized weights.
+    close.  A drift here is what once made served int8 outputs disagree with
+    direct int8 decodes of the same quantized weights.
     """
 
     REQUESTS = [
@@ -107,20 +108,17 @@ class TestContinuousStaticAgreement:
         if calibrated:
             model.calibrate(CORPUS, n=2, target_agreement=0.9)
         model.quantize_int8()
-        static = Pipeline.from_model(model, config=PipelineConfig(precision="int8", continuous=False))
-        continuous = Pipeline.from_model(model, config=PipelineConfig(precision="int8", continuous=True))
-        static_outputs = [r.output for r in static.serve(list(self.REQUESTS))]
-        continuous_outputs = [r.output for r in continuous.serve(list(self.REQUESTS))]
-        assert static_outputs == continuous_outputs
+        pipeline = Pipeline.from_model(model, config=PipelineConfig(precision="int8"))
+        sources = [pipeline.prepare(request).source for request in self.REQUESTS]
+        static_outputs = [strip_modality_tags(output) for output in model.predict_batch(sources, precision="int8")]
+        assert [r.output for r in pipeline.serve(list(self.REQUESTS))] == static_outputs
 
     def test_continuous_int8_matches_direct_predict(self):
         model = tiny_model().quantize_int8()
-        pipeline = Pipeline.from_model(model, config=PipelineConfig(precision="int8", continuous=True))
+        pipeline = Pipeline.from_model(model, config=PipelineConfig(precision="int8"))
         request = self.REQUESTS[0]
         prepared = pipeline.prepare(request)
         direct = model.predict_batch([prepared.source], precision="int8")
-        from repro.encoding.sequences import strip_modality_tags
-
         assert pipeline.submit(request).output == strip_modality_tags(direct[0])
 
 

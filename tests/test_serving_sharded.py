@@ -14,6 +14,9 @@ throughput knob (telemetry, which carries shard identity, is excluded from
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.deploy import ModelRegistry
@@ -150,6 +153,45 @@ class TestEquivalence:
         assert response.telemetry is not None
         assert response.telemetry["shard"] in names
         assert response.telemetry["requeues"] == 0
+
+
+class TestRollingSwapUnderLoad:
+    def test_closed_loop_client_loses_nothing_across_a_rolling_swap(self, env, baseline, tmp_path):
+        # Its own registry: a viz@2 in the shared one would re-resolve the
+        # other tests' bare-name ``deployment="viz"`` pins.
+        registry = ModelRegistry(tmp_path / "registry.json")
+        for version in (1, 2):  # weight-identical versions: outputs may not change across the flip
+            registry.register_checkpoint("viz", env["model"], tmp_path / f"ckpt-v{version}")
+        requests, sync = baseline
+        unpinned = [(request, response) for request, response in zip(requests, sync) if request.deployment is None]
+        responses: list = []
+        swapped, finished = threading.Event(), threading.Event()
+
+        def client(server) -> None:
+            sent_after_swap = 0
+            for request, _ in unpinned:
+                sent_after_swap += swapped.is_set()
+                responses.append(server.submit(request))
+                if sent_after_swap == 8:
+                    finished.set()
+                    return
+
+        with ShardedServer(tmp_path / "registry.json", "viz@1", ShardConfig(num_shards=2)) as server:
+            sender = threading.Thread(target=client, args=(server,))
+            sender.start()
+            while len(responses) < 8 and sender.is_alive():
+                time.sleep(0.005)
+            served_before = len(responses)
+            assert server.rolling_swap("viz@2") == "viz@2"
+            swapped.set()
+            sender.join(timeout=60)
+            stats = server.stats()
+        assert finished.is_set()  # eight more requests went out after the flip
+        assert 8 <= served_before < len(responses)
+        assert [r.error for r in responses] == [None] * len(responses)  # zero drops
+        assert [r.output for r in responses] == [expected.output for _, expected in unpinned[: len(responses)]]
+        assert stats["primary"] == "viz@2" and stats["swaps"] == 1
+        assert stats["restarts"] == 0
 
 
 class TestGatewaySemantics:

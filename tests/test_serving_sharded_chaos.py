@@ -101,7 +101,14 @@ class TestProcessDeath:
     def test_kill9_mid_batch_requeues_and_respawns(self, env):
         with ShardedServer(env["registry_path"], "viz@1", ShardConfig(**CHAOS)) as server:
             victim = server.shard_pids()["shard-0"]
-            killer = threading.Timer(0.05, lambda: os.kill(victim, signal.SIGKILL))
+
+            def kill_mid_batch() -> None:
+                # Kill on observed in-flight work, not a wall-clock guess: a
+                # SIGKILL landing while shard-0 is idle requeues nothing.
+                wait_for(lambda: server.stats()["shards"]["shard-0"]["pending_batches"] > 0)
+                os.kill(victim, signal.SIGKILL)
+
+            killer = threading.Thread(target=kill_mid_batch)
             killer.start()
             requests = fresh_requests(env, 24, "kill9")
             responses = server.serve(requests)
