@@ -4,10 +4,11 @@
 PYTHON ?= python
 EXAMPLES := quickstart text_to_vis_pipeline chart_captioning fevisqa_assistant dataset_report calibrate_checkpoint trace_request
 
-.PHONY: test test-fast test-streaming test-chaos bench bench-e2e bench-compare bench-gates calibrate-demo trace-demo smoke ci install docs check-docs help
+.PHONY: test test-nochaos test-fast test-streaming test-chaos bench bench-e2e bench-compare bench-gates calibrate-demo trace-demo smoke ci install docs check-docs help
 
 help:
 	@echo "make test          - tier-1 verification: full test + benchmark suite (pytest -x -q)"
+	@echo "make test-nochaos  - tier-1 minus the chaos suite (pytest -x -q -m 'not chaos'); make ci runs this plus make test-chaos, so the chaos suite runs once, under its watchdog"
 	@echo "make test-fast     - tests/ only, without the process-killing chaos suite (pytest tests -m 'not chaos')"
 	@echo "make test-streaming - streaming + corpus-QA equivalence suites only (chunk protocol, reassembly-equals-sync, differential retrieval)"
 	@echo "make test-chaos    - sharded-tier chaos suite only, bounded by a 900s watchdog (pytest -m chaos)"
@@ -20,11 +21,16 @@ help:
 	@echo "make smoke         - run every example end-to-end"
 	@echo "make docs          - generate the API reference from docstrings into docs/api/ (ignored build output)"
 	@echo "make check-docs    - docstring-coverage gate: fail if any public repro.* surface lacks a docstring"
-	@echo "make ci            - what the CI workflow runs: tier-1 tests + smoke + docs build + docstring gate"
+	@echo "make ci            - what the CI workflow runs: test-nochaos + test-chaos (= tier-1, chaos bounded) + smoke + docs build + docstring gate"
 	@echo "make install       - editable install (pip install -e .)"
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# Tier-1 without the chaos suite: `make ci` pairs it with `make test-chaos`
+# so the process-killing tests run exactly once, under the watchdog.
+test-nochaos:
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q -m "not chaos"
 
 # The fast inner loop: unit/property suites only — no paper-table benchmarks
 # (directory split) and no chaos suite (marker split; it kills real forked
@@ -74,7 +80,7 @@ calibrate-demo:
 # and .github/workflows/ci.yml can never drift apart.  `docs` doubles as the
 # docs build check: a module that fails to import or document fails CI.  The
 # pages it writes are build output (docs/api/ is ignored), not committed.
-ci: test smoke docs check-docs
+ci: test-nochaos test-chaos smoke docs check-docs
 
 smoke:
 	@set -e; for example in $(EXAMPLES); do \

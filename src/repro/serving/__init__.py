@@ -13,21 +13,21 @@ evicting them the moment their own EOS lands.  The :mod:`~repro.serving.registry
 constructs any baseline family from a plain config dict, so serving, the
 evaluation harness and the examples share one factory.
 
-On top of the synchronous facade sits the asyncio front-end
-(:mod:`~repro.serving.server`): a :class:`Server` that absorbs concurrent
-``submit`` calls into per-task bounded queues, batches them under a
-time/size :class:`BatchWindow` flush policy, and dispatches to a pool of
-thread-backed worker shards — with structured admission control (queue-full
-and past-deadline rejections are error :class:`Response`\\ s, never
-exceptions) and per-request telemetry aggregated in ``Server.stats()``.
+On top of the synchronous facade sit two front-ends over one gateway core
+(:mod:`~repro.serving.gateway`: admission, deployment routing, canary/shadow,
+coalescing and accounting, defined once — queue-full and past-deadline
+rejections are error :class:`Response`\\ s, never exceptions).  The asyncio
+:class:`Server` (:mod:`~repro.serving.server`) absorbs concurrent ``submit``
+calls into bounded queues, batches them under a time/size
+:class:`BatchWindow` flush policy, and dispatches to a pool of worker
+threads, with per-request telemetry aggregated in ``Server.stats()``.
 
 Beyond threads, the **process-sharded tier** (:mod:`~repro.serving.sharded`)
 escapes the GIL entirely: a :class:`ShardedServer` forks worker processes
-that each build their own fingerprint-verified pipelines, routes request
-keys across them with a consistent-hash ring composed with the
-:class:`~repro.deploy.router.Router`, and treats shard death (crash, wedge)
-as a first-class event — heartbeat detection, respawn, requeue, at-most-once
-delivery.  The wire layer (:mod:`~repro.serving.transport`) is a
+that each build their own fingerprint-verified pipelines, places request
+keys across them with a consistent-hash ring, and treats shard death (crash,
+wedge) as a first-class event — heartbeat detection, respawn, requeue,
+at-most-once delivery.  The wire layer (:mod:`~repro.serving.transport`) is a
 length-prefixed JSON frame protocol over plain pipes.
 
 Both front-ends also serve **token-streaming** responses: ``Server.stream``

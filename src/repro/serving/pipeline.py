@@ -638,12 +638,13 @@ class Pipeline:
     def spawn_engines(self, precision: str | None = None) -> dict[str, _Engine]:
         """Fresh per-task :class:`_Engine` instances over this pipeline's backends.
 
-        The async server gives each worker shard its own engine set so worker
-        state never aliases; the underlying backends (model weights, fitted
-        baselines) are shared read-only, which is safe because inference does
-        not mutate them.  ``precision`` overrides the engines' DataVisT5
-        inference precision (the :class:`~repro.serving.server.ServerConfig`
-        knob); ``None`` keeps each engine's configured setting.
+        The async server spawns one set per deployment and shares it across
+        its worker threads: engines hold no mutable state, and the underlying
+        backends (model weights, fitted baselines) are only read, because
+        inference does not mutate them.  ``precision`` overrides the engines'
+        DataVisT5 inference precision (the
+        :class:`~repro.serving.server.ServerConfig` knob); ``None`` keeps each
+        engine's configured setting.
         """
         if precision is not None:
             validate_precision(precision)
@@ -659,7 +660,7 @@ class Pipeline:
         }
         corpus = self._engines.get("corpus_qa")
         if isinstance(corpus, _CorpusQAEngine):
-            # corpus_qa wraps the worker's own fevisqa engine, so the
+            # corpus_qa wraps this set's own fevisqa engine, so the
             # precision override applies to its sub-batches too.
             engines["corpus_qa"] = _CorpusQAEngine(engines["fevisqa"], corpus.index, corpus.top_k)
         return engines

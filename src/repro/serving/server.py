@@ -7,9 +7,9 @@ into bounded queues, and drains the queues with a time/size batch collector:
 a batch is dispatched as soon as ``max_batch`` requests are waiting *or*
 ``max_wait_ms`` has elapsed since its first request arrived
 (:class:`~repro.serving.batching.BatchWindow`).  Dispatched batches run on a
-pool of worker shards — threads that each own their own per-task
-:class:`~repro.serving.pipeline._Engine` set over the pipeline's shared
-backends — so encoder/decoder forward passes for different tasks (or
+pool of worker threads over one per-task
+:class:`~repro.serving.pipeline._Engine` set per deployment (engines hold no
+mutable state), so encoder/decoder forward passes for different tasks (or
 successive batches of one task) overlap while the event loop keeps accepting
 traffic.
 
@@ -29,26 +29,26 @@ starts decoding immediately instead of waiting for the next window, and a
 short request leaves as soon as its own EOS lands.  Rule-based backends
 keep the request-granular micro-batcher.
 
-Admission control is structured, never exceptional: a full queue, an expired
-deadline, an unpreparable request or a backend exception each produce a
-:class:`~repro.serving.protocol.Response` with ``error`` set — one poisoned
-request can never take down the loop or anyone else's request.  Duplicate
-requests already in flight coalesce onto the first occurrence's future, the
-async analogue of ``Pipeline.serve``'s within-burst dedup.
+Admission itself — routing, the namespaced cache probe, duplicate coalescing,
+canary/shadow and request accounting — is the shared gateway core
+(:mod:`repro.serving.gateway`); this module is its thread *executor*.
+Admission control is structured, never exceptional — every failure is a
+:class:`~repro.serving.protocol.Response` with ``error`` set, so one poisoned
+request can never take down the loop or anyone else's request: a full queue
+(``ERROR_QUEUE_FULL``), an expired deadline (``ERROR_DEADLINE``), a stopped
+server (``ERROR_SHUTDOWN``), an unpreparable request (``ERROR_INVALID_REQUEST``,
+or ``ERROR_CORPUS_EMPTY`` / ``ERROR_INDEX_MISMATCH`` from the corpus_qa request
+stage) or a backend exception (``ERROR_BACKEND``); ``ERROR_SHARD_FAILED`` is
+counted too, for responses relayed from the process-sharded tier.
 
 On top of the request path sits the **deployment lifecycle**
-(:mod:`repro.deploy`): the server hosts any number of versioned model
-deployments (``name@version``) beside its primary pipeline, routes each
-request to one of them through an immutable, atomically-flipped
-:class:`~repro.deploy.router.Router` (deterministic per-request-key canary
-splits, shadow traffic, ``Request.deployment`` pinning), and supports
-zero-downtime :meth:`Server.hot_swap`: new engines are admitted via
-``Pipeline.spawn_engines``, the router reference flips, and the old version
-drains its in-flight requests before its engines are retired.  Response-cache
-keys carry the deployment identity (and weight revision), so versions never
-replay or poison each other's entries.  A :class:`~repro.deploy.router.
-CanaryGuard` auto-reverts a canary whose ``backend_error`` rate crosses its
-threshold.  See ``docs/deploy.md``.
+(:mod:`repro.deploy`, ``docs/deploy.md``): the server hosts any number of
+versioned model deployments (``name@version``) beside its primary pipeline
+and supports zero-downtime :meth:`Server.hot_swap` — new engines are admitted
+via ``Pipeline.spawn_engines``, the router reference flips, and the old
+version drains its in-flight requests before its engines are retired.
+Response-cache keys carry the deployment identity (and weight revision), so
+versions never replay or poison each other's entries.
 
 Typical use::
 
@@ -69,7 +69,7 @@ from dataclasses import dataclass, replace
 from repro import __version__, obs
 from repro.core.batching import padding_efficiency
 from repro.core.config import validate_precision
-from repro.deploy.router import CanaryGuard, Router, parse_ref
+from repro.deploy.router import parse_ref
 from repro.errors import ModelConfigError
 from repro.obs.names import (
     METRIC_SERVER_BATCH_SIZE,
@@ -81,16 +81,21 @@ from repro.obs.names import (
 )
 from repro.obs.trace import SpanContext
 from repro.serving.batching import BatchWindow
-from repro.serving.pipeline import Pipeline, _Engine, _Prepared, error_code_for
+from repro.serving.gateway import (
+    Deployment,
+    Executor,
+    Gateway,
+    Job,
+    Outcome,
+    Rejected,
+    StreamReconciler,
+    collect_batch,
+)
+from repro.serving.pipeline import Pipeline, _Engine, _Prepared
 from repro.serving.protocol import (
     ERROR_BACKEND,
-    ERROR_CORPUS_EMPTY,
     ERROR_DEADLINE,
-    ERROR_INDEX_MISMATCH,
-    ERROR_INVALID_REQUEST,
     ERROR_QUEUE_FULL,
-    ERROR_SHARD_FAILED,
-    ERROR_SHUTDOWN,
     SERVABLE_TASKS,
     Request,
     Response,
@@ -117,9 +122,9 @@ class ServerConfig:
     most ``max_wait_ms`` milliseconds for a batch to fill to ``max_batch``.
     ``queue_size`` bounds each (task, deployment) queue — submissions beyond
     it are rejected with ``queue_full`` rather than buffered without limit.
-    ``num_workers`` is the number of thread-backed worker shards; it also
-    bounds how many batches are in flight at once, which back-pressures the
-    collectors.  ``precision`` overrides the DataVisT5 inference precision of
+    ``num_workers`` is the number of worker threads; it also bounds how many
+    batches are in flight at once, which back-pressures the collectors.
+    ``precision`` overrides the DataVisT5 inference precision of
     the *primary* pipeline's worker engines (``"float64"`` / ``"float32"`` /
     ``"int8"``; ``None`` keeps the pipeline's own setting) — explicitly
     deployed versions own their precision through their manifests/pipelines
@@ -144,70 +149,34 @@ class ServerConfig:
         BatchWindow(max_batch=self.max_batch, max_wait_ms=self.max_wait_ms)
 
 
-class _Deployment:
-    """Runtime record of one deployed version inside a :class:`Server`.
+class _Deployment(Deployment):
+    """The gateway's deployment record plus what the thread tier runs it on.
 
-    Holds the version's engine sets (one per worker shard, so worker state
-    never aliases across threads), its lifecycle flags, and the per-version
-    counters that feed ``Server.stats()`` and the canary guard.  ``revision``
+    ``engines`` is the version's one per-task engine set, shared by every
+    worker thread (engines hold no mutable state); the inherited ``revision``
     counts in-place weight swaps (:meth:`Server.set_weights`) and is part of
     the version's response-cache namespace.
     """
 
-    __slots__ = (
-        "deployment_id",
-        "pipeline",
-        "manifest",
-        "revision",
-        "is_default",
-        "tasks",
-        "engines",
-        "draining",
-        "pending",
-        "latency_ms_sum",
-        "counts",
-    )
+    __slots__ = ("pipeline", "manifest", "is_default", "engines")
 
     def __init__(self, deployment_id: str, pipeline: Pipeline, manifest=None, is_default: bool = False):
-        self.deployment_id = deployment_id
+        # The engine keys the pipeline would spawn; refreshed by the server
+        # when the real engine set is admitted (getattr keeps stub pipelines
+        # in tests constructible).
+        super().__init__(deployment_id, tasks=getattr(pipeline, "_engines", ()))
         self.pipeline = pipeline
         self.manifest = manifest
-        self.revision = 0
         self.is_default = is_default
-        # The engine keys the pipeline would spawn; refreshed by the server
-        # when real engine sets are admitted (getattr keeps stub pipelines in
-        # tests constructible).
-        self.tasks = set(getattr(pipeline, "_engines", ()))
-        self.engines: list[dict[str, _Engine]] = []
-        self.draining = False
-        self.pending = 0
-        self.latency_ms_sum = 0.0
-        self.counts = {
-            "routed": 0,
-            "completed": 0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            "backend_error": 0,
-            "deadline_exceeded": 0,
-            "shadow_requests": 0,
-        }
+        self.engines: dict[str, _Engine] = {}
 
 
-class _Worker:
-    """One shard of the worker pool: engines are looked up per deployment."""
-
-    __slots__ = ("worker_id",)
-
-    def __init__(self, worker_id: int):
-        self.worker_id = worker_id
-
-    def predict(self, deployment: _Deployment, task: str, prepared: list[_Prepared]) -> list[str]:
-        engine = deployment.engines[self.worker_id].get(task)
-        if engine is None:
-            raise ModelConfigError(
-                f"deployment {deployment.deployment_id!r} has no backend for task {task!r}"
-            )
-        return engine.predict_batch(prepared)
+def _predict(deployment: _Deployment, task: str, prepared: list[_Prepared]) -> list[str]:
+    """The worker-thread half of a batch: one backend forward pass."""
+    engine = deployment.engines.get(task)
+    if engine is None:
+        raise ModelConfigError(f"deployment {deployment.deployment_id!r} has no backend for task {task!r}")
+    return engine.predict_batch(prepared)
 
 
 def _telemetry(
@@ -247,43 +216,6 @@ def _merge_telemetry(existing: dict | None, serving: dict) -> dict:
     return {**existing, **serving}
 
 
-class _Job:
-    """One queued request: its prepared form plus scheduling metadata."""
-
-    __slots__ = (
-        "prepared",
-        "future",
-        "enqueued_at",
-        "deadline_at",
-        "deployment",
-        "revision",
-        "batch_size",
-        "worker_id",
-        "queue_seconds",
-    )
-
-    def __init__(
-        self,
-        prepared: _Prepared,
-        future: asyncio.Future,
-        enqueued_at: float,
-        deadline_at: float | None,
-        deployment: _Deployment,
-    ):
-        self.prepared = prepared
-        self.future = future
-        self.enqueued_at = enqueued_at
-        self.deadline_at = deadline_at
-        self.deployment = deployment
-        # The weight revision the job was admitted (and cache-keyed) under;
-        # a mismatch at completion time means the weights were hot-swapped
-        # while the job was queued, and its output must not be cached.
-        self.revision = deployment.revision
-        self.batch_size: int | None = None
-        self.worker_id: int | None = None
-        self.queue_seconds: float = 0.0
-
-
 class Server:
     """Accepts concurrent requests and serves them through batched workers.
 
@@ -310,42 +242,15 @@ class Server:
             pipeline.spawn_engines(precision=self.config.precision)
         self._window = BatchWindow(max_batch=self.config.max_batch, max_wait_ms=self.config.max_wait_ms)
         self._default = _Deployment(DEFAULT_DEPLOYMENT, pipeline, is_default=True)
-        self._deployments: dict[str, _Deployment] = {DEFAULT_DEPLOYMENT: self._default}
-        self._router = Router()
-        # guard id -> {"guard": CanaryGuard, "completed": ..., "backend_errors": ...}
-        # — the counter baseline at install time, so the guard judges only
-        # traffic the canary served *while guarded*, not its whole history.
-        self._guards: dict[str, dict] = {}
-        self._rollbacks: list[dict] = []
-        self._shadow_stats: dict[str, dict] = {}
-        self._queues: dict[tuple[str, str], asyncio.Queue] = {}
-        self._collectors: dict[tuple[str, str], asyncio.Task] = {}
-        self._inflight: dict[str, asyncio.Future] = {}
+        self._gateway = Gateway(
+            Executor(self._identify, self._bind, self._cached, self._enqueue, self._response), self._default
+        )
+        # (task, deployment id) -> (bounded queue, the collector task draining it)
+        self._lanes: dict[tuple[str, str], tuple[asyncio.Queue, asyncio.Task]] = {}
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._idle_workers: asyncio.Queue | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._started = False
-        self._closed = False
-        self._counts = {
-            "submitted": 0,
-            "completed": 0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            ERROR_QUEUE_FULL: 0,
-            ERROR_DEADLINE: 0,
-            ERROR_INVALID_REQUEST: 0,
-            ERROR_BACKEND: 0,
-            ERROR_SHUTDOWN: 0,
-            # corpus_qa request-stage failures: an empty/unretrievable corpus
-            # and a client fingerprint pin that does not match the deployed
-            # index (see docs/corpus_qa.md).
-            ERROR_CORPUS_EMPTY: 0,
-            ERROR_INDEX_MISMATCH: 0,
-            # Emitted by the process-sharded tier (repro.serving.sharded); the
-            # thread-backed server counts it so responses relayed from a
-            # sharded backend keep their accounting when they pass through.
-            ERROR_SHARD_FAILED: 0,
-        }
         # Running aggregates, not per-batch lists: a long-lived server must
         # not grow memory with uptime just to answer stats().
         self._batch_count = 0
@@ -364,7 +269,7 @@ class Server:
         A server is single-use: once :meth:`stop` has run, restarting would
         revive queues whose collectors are gone, so it raises instead.
         """
-        if self._closed:
+        if self._gateway.stopped:
             raise ModelConfigError("Server cannot be restarted after stop(); create a new Server")
         if self._started:
             return
@@ -373,15 +278,14 @@ class Server:
         )
         self._idle_workers = asyncio.Queue()
         for worker_id in range(self.config.num_workers):
-            self._idle_workers.put_nowait(_Worker(worker_id))
+            self._idle_workers.put_nowait(worker_id)
         self._admit_engines(self._default)
         self._started = True
 
     async def join(self) -> None:
         """Wait until every accepted request has been answered."""
-        while self._inflight or self._dispatch_tasks:
-            futures = list(self._inflight.values()) + list(self._dispatch_tasks)
-            await asyncio.gather(*futures, return_exceptions=True)
+        while work := [*self._gateway.unsettled(), *self._dispatch_tasks]:
+            await asyncio.gather(*work, return_exceptions=True)
 
     async def stop(self) -> None:
         """Drain in-flight work, then shut the collectors and workers down.
@@ -389,17 +293,10 @@ class Server:
         Requests submitted after ``stop`` begins are rejected with the
         ``server_stopped`` error.
         """
-        self._closed = True
+        self._gateway.stopped = True
         await self.join()
-        for collector in self._collectors.values():
-            collector.cancel()
-        for collector in self._collectors.values():
-            try:
-                await collector
-            except asyncio.CancelledError:
-                pass
-        self._collectors.clear()
-        self._queues.clear()
+        for key in list(self._lanes):
+            await self._close_lane(key)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -414,30 +311,19 @@ class Server:
 
     # -- the deployment lifecycle --------------------------------------------------------
     def _admit_engines(self, deployment: _Deployment) -> None:
-        """Spawn one engine set per worker shard for ``deployment``.
+        """Spawn ``deployment``'s engine set (eagerly, so misconfiguration fails here).
 
         The primary pipeline honours the server's ``precision`` override;
         explicitly deployed versions run at their own pipeline's settings
         (their manifests are the deployment-level precision knob).
         """
         precision = self.config.precision if deployment.is_default else None
-        deployment.engines = [
-            deployment.pipeline.spawn_engines(precision=precision)
-            for _ in range(self.config.num_workers)
-        ]
-        tasks = set(deployment.engines[0])
-        if not tasks:
+        deployment.engines = deployment.pipeline.spawn_engines(precision=precision)
+        if not deployment.engines:
             raise ModelConfigError(
                 f"deployment {deployment.deployment_id!r} has no configured backends"
             )
-        deployment.tasks = tasks
-
-    def _require_deployment(self, deployment_id: str) -> _Deployment:
-        deployment = self._deployments.get(deployment_id)
-        if deployment is None:
-            known = ", ".join(sorted(self._deployments))
-            raise ModelConfigError(f"unknown deployment {deployment_id!r}; deployed: {known}")
-        return deployment
+        deployment.tasks = set(deployment.engines)
 
     async def deploy(self, deployment_id: str, pipeline: Pipeline, manifest=None) -> None:
         """Admit a new model version; it receives no traffic until routed.
@@ -447,19 +333,19 @@ class Server:
         :meth:`repro.deploy.ModelRegistry.build_pipeline`); ``manifest``, when
         given, is re-validated — fingerprint check included — before the
         version is admitted, and is echoed in ``stats()`` for provenance.
-        Engines for every worker shard are spawned here, so a
-        misconfiguration (e.g. int8 over unquantized weights) fails at deploy
-        time, not under traffic.  Routing is a separate, atomic step
-        (:meth:`set_routes` / :meth:`set_canary` / :meth:`hot_swap`).
+        The version's engines are spawned here, so a misconfiguration (e.g.
+        int8 over unquantized weights) fails at deploy time, not under
+        traffic.  Routing is a separate, atomic step (:meth:`set_routes` /
+        :meth:`set_canary` / :meth:`hot_swap`).
         """
-        if self._closed:
+        if self._gateway.stopped:
             raise ModelConfigError("cannot deploy on a stopped server")
         name, version = parse_ref(deployment_id)
         if version is None:
             raise ModelConfigError(
                 f"deployment ids must be versioned ('name@version'), got {deployment_id!r}"
             )
-        if deployment_id in self._deployments:
+        if deployment_id in self._gateway.deployments:
             raise ModelConfigError(f"deployment {deployment_id!r} is already deployed")
         if manifest is not None:
             manifest.validate()
@@ -479,7 +365,7 @@ class Server:
                     f"manifest {manifest.id} declares tasks the pipeline does not serve: "
                     f"{', '.join(unserved)}"
                 )
-        self._deployments[deployment_id] = deployment
+        self._gateway.deployments[deployment_id] = deployment
 
     async def undeploy(self, deployment_id: str) -> None:
         """Retire a version: unroute it, drain its in-flight work, drop its engines.
@@ -490,30 +376,24 @@ class Server:
         engines released.  The primary pipeline cannot be undeployed — it is
         the fallback for every unrouted task.
         """
-        deployment = self._require_deployment(deployment_id)
-        if deployment.is_default:
-            raise ModelConfigError(
-                "the primary pipeline deployment cannot be undeployed; route traffic "
-                "to another version instead"
-            )
-        self._router = self._router.without(deployment_id)
-        self._guards.pop(deployment_id, None)
-        deployment.draining = True
-        await self._drain(deployment)
-        for key in [key for key in self._queues if key[1] == deployment_id]:
-            collector = self._collectors.pop(key)
-            collector.cancel()
-            try:
-                await collector
-            except asyncio.CancelledError:
-                pass
-            del self._queues[key]
-        del self._deployments[deployment_id]
+        deployment = self._gateway.retire(deployment_id)
+        await self._gateway.drained(deployment)
+        for key in [key for key in self._lanes if key[1] == deployment_id]:
+            await self._close_lane(key)
+        del self._gateway.deployments[deployment_id]
+
+    async def _close_lane(self, key: tuple[str, str]) -> None:
+        _, collector = self._lanes.pop(key)
+        collector.cancel()
+        try:
+            await collector
+        except asyncio.CancelledError:
+            pass
 
     async def set_weights(self, deployment_id: str, pipeline: Pipeline) -> None:
         """Swap a deployed version's backends in place (same identity, new weights).
 
-        Fresh engine sets are spawned from ``pipeline`` and installed
+        A fresh engine set is spawned from ``pipeline`` and installed
         atomically.  The version's ``revision`` counter bumps, which
         namespaces its response-cache keys — entries produced by the old
         weights are never replayed for post-swap traffic.  A request that
@@ -525,7 +405,7 @@ class Server:
         deployment this swaps what the workers compute; the front-end
         pipeline (encoding, caches, postprocessing) is unchanged.
         """
-        deployment = self._require_deployment(deployment_id)
+        deployment = self._gateway.require(deployment_id)
         if deployment.draining:
             raise ModelConfigError(f"deployment {deployment_id!r} is draining")
         if not self._started:
@@ -552,15 +432,11 @@ class Server:
         the old table or the new one, never a mixture.
         """
         self._validate_route_task(task)
-        for deployment_id in weights:
-            self._validate_route_target(task, deployment_id)
-        self._router = self._router.with_routes(task, weights)
-        self._prune_guards()
+        self._gateway.set_routes(task, weights)
 
     def clear_routes(self, task: str) -> None:
         """Remove ``task``'s explicit routes and shadow (traffic returns to the primary)."""
-        self._router = self._router.without_task(task)
-        self._prune_guards()
+        self._gateway.clear_routes(task)
 
     def set_shadow(self, task: str, deployment_id: str, fraction: float) -> None:
         """Mirror ``fraction`` of ``task`` traffic to ``deployment_id``.
@@ -570,13 +446,9 @@ class Server:
         latency deltas are recorded in ``stats()["shadow"]`` — the caller's
         response is never affected.  ``fraction <= 0`` clears the shadow.
         """
-        if fraction <= 0:
-            self._router = self._router.with_shadow(task, deployment_id, 0.0)
-            self._prune_guards()
-            return
-        self._validate_route_task(task)
-        self._validate_route_target(task, deployment_id)
-        self._router = self._router.with_shadow(task, deployment_id, fraction)
+        if fraction > 0:
+            self._validate_route_task(task)
+        self._gateway.set_shadow(task, deployment_id, fraction)
 
     def set_canary(
         self,
@@ -600,18 +472,8 @@ class Server:
         never weigh against the canary — and is dropped automatically when a
         route change leaves the deployment unreferenced.
         """
-        if not 0.0 < fraction < 1.0:
-            raise ModelConfigError(f"canary fraction must be in (0, 1), got {fraction!r}")
-        self.set_routes(task, {stable: 1.0 - fraction, canary: fraction})
-        if max_error_rate is not None:
-            counts = self._deployments[canary].counts
-            self._guards[canary] = {
-                "guard": CanaryGuard(
-                    deployment=canary, max_error_rate=max_error_rate, min_requests=min_requests
-                ),
-                "completed": counts["completed"],
-                "backend_errors": counts["backend_error"],
-            }
+        self._validate_route_task(task)
+        self._gateway.set_canary(task, stable, canary, fraction, max_error_rate, min_requests)
 
     async def hot_swap(
         self,
@@ -637,7 +499,7 @@ class Server:
         loop = asyncio.get_running_loop()
         began = loop.time()
         await self.deploy(deployment_id, pipeline, manifest=manifest)
-        new = self._deployments[deployment_id]
+        new = self._gateway.deployments[deployment_id]
         targets = tasks if tasks is not None else tuple(sorted(new.tasks & self._default.tasks))
         if not targets:
             raise ModelConfigError(
@@ -645,11 +507,11 @@ class Server:
             )
         for task in targets:  # validate everything before flipping anything
             self._validate_route_task(task)
-            self._validate_route_target(task, deployment_id)
+            self._gateway.check_target(task, deployment_id)
         for task in targets:
             self.set_routes(task, {deployment_id: 1.0})
         if replaces is not None and replaces != deployment_id:
-            old = self._require_deployment(replaces)
+            old = self._gateway.require(replaces)
             if not old.is_default:
                 await self.undeploy(replaces)
         return loop.time() - began
@@ -662,21 +524,6 @@ class Server:
         # The primary pipeline prepares and postprocesses every request, so a
         # task it cannot serve cannot be routed anywhere.
         self.pipeline.backend(task)
-
-    def _validate_route_target(self, task: str, deployment_id: str) -> None:
-        deployment = self._require_deployment(deployment_id)
-        if deployment.draining:
-            raise ModelConfigError(f"deployment {deployment_id!r} is draining and cannot be routed")
-        if task not in deployment.tasks:
-            raise ModelConfigError(
-                f"deployment {deployment_id!r} does not serve task {task!r} "
-                f"(serves: {', '.join(sorted(deployment.tasks))})"
-            )
-
-    async def _drain(self, deployment: _Deployment) -> None:
-        """Wait until every request routed to ``deployment`` has resolved."""
-        while deployment.pending > 0:
-            await asyncio.sleep(0.001)
 
     # -- submission --------------------------------------------------------------------
     async def submit(
@@ -693,10 +540,11 @@ class Server:
         runs to completion.  A coalesced duplicate shares the fate of the
         request it coalesced onto.
 
-        Routing happens here, before the cache lookup: the request's cache
-        identity hashes to a deployment (or ``Request.deployment`` pins one),
-        and the response-cache key is namespaced with the deployment identity
-        so versions never answer for each other.
+        Admission is :meth:`repro.serving.gateway.Gateway.submit`: routing
+        happens before the cache lookup — the request's cache identity hashes
+        to a deployment (or ``Request.deployment`` pins one) — and the
+        response-cache key is namespaced with the deployment identity so
+        versions never answer for each other.
 
         ``_on_text`` is the streaming hook :meth:`stream` threads through to
         the worker engines (called from worker threads with text deltas);
@@ -725,71 +573,13 @@ class Server:
             return obs.TRACES.root(SPAN_SERVER_REQUEST, attrs=attrs)
         return obs.TRACES.begin(SPAN_SERVER_REQUEST, parent, attrs=attrs)
 
-    async def _submit(
-        self, request: Request, deadline: float | None, _on_text
-    ) -> Response:
-        self._counts["submitted"] += 1
-        if self._closed:
-            return self._account(error_response(request, ERROR_SHUTDOWN, "server is stopped"))
-        if not self._started:
+    async def _submit(self, request: Request, deadline: float | None, _on_text) -> Response:
+        if not self._started and not self._gateway.stopped:
             await self.start()
-        loop = asyncio.get_running_loop()
-
-        try:
-            self.pipeline.backend(request.task)  # fail fast on unconfigured tasks
-            base = self.pipeline.prepare(request)
-            deployment = self._route(request, base.key)
-        except Exception as error:  # noqa: BLE001 - submit never raises, per contract
-            return self._account(error_response(request, error_code_for(error), str(error)))
-        # The routing decision changes what the workers compute, so it must
-        # change the response-cache identity too: a canary (or a precision
-        # override, or a new weight revision) must neither replay the
-        # incumbent's cached outputs nor poison its cache with its own.
-        prepared = base.namespaced(self._cache_suffix(deployment))
-        shadow_target = self._shadow_target(request, base.key, deployment)
-
-        cached = self.pipeline.cached_response(prepared)
-        if cached is not None:
-            self._counts["cache_hits"] += 1
-            self._counts["completed"] += 1
-            deployment.counts["cache_hits"] += 1
-            cached.telemetry = _merge_telemetry(
-                cached.telemetry, _telemetry(cache_hit=True, deployment=deployment.deployment_id)
-            )
-            if shadow_target is not None:
-                settled = loop.create_future()
-                settled.set_result(("ok", {"output": cached.output}))
-                self._spawn_shadow(base, request.task, deployment, shadow_target, settled)
-            return cached
-
-        shared = self._inflight.get(prepared.key)
-        if shared is not None:
-            self._counts["coalesced"] += 1
-            deployment.counts["coalesced"] += 1
-            if shadow_target is not None:
-                self._spawn_shadow(base, request.task, deployment, shadow_target, shared)
-            return await self._await_result(prepared, shared, coalesced=True, deployment=deployment)
-
-        if deadline is not None and deadline <= 0:
-            return self._account(
-                error_response(request, ERROR_DEADLINE, "deadline expired before the request was queued")
-            )
-
-        if _on_text is not None:
-            prepared = replace(prepared, on_text=_on_text)
-        job = self._enqueue(prepared, request.task, deployment, deadline)
-        if job is None:
-            return self._account(
-                error_response(
-                    request,
-                    ERROR_QUEUE_FULL,
-                    f"{request.task} queue for {deployment.deployment_id} is full "
-                    f"({self.config.queue_size} pending requests)",
-                )
-            )
-        if shadow_target is not None:
-            self._spawn_shadow(base, request.task, deployment, shadow_target, job.future)
-        return await self._await_owner(job)
+        response = await self._gateway.submit(request, deadline, _on_text)
+        if response.telemetry is None:  # refused before it was routed, queued or batched
+            response.telemetry = _telemetry()
+        return response
 
     async def submit_all(self, requests: list[Request], deadline: float | None = None) -> list[Response]:
         """Submit ``requests`` concurrently; responses align with input order."""
@@ -807,14 +597,13 @@ class Server:
         same request.  The stream never raises and never truncates: failures
         arrive as a terminal error chunk whose ``response.error`` is set.
 
-        The concatenated deltas are reconciled against the final output
-        before the final chunk: a missing tail (cache hits, coalesced
-        duplicates and non-continuous backends answer atomically) is emitted
-        as one remainder chunk, and a divergent draft (corpus QA streams its
-        top-ranked context's answer while the merge is pending) is replaced
-        by a ``seq == 0`` reset chunk carrying the authoritative text —
+        A :class:`~repro.serving.gateway.StreamReconciler` reconciles the
+        deltas against the final output before the final chunk — a missing
+        tail (cache hits, coalesced duplicates and non-continuous backends
+        answer atomically) or a divergent draft (corpus QA streams its
+        top-ranked context's answer while the merge is pending) — so
         :func:`~repro.serving.protocol.assemble_stream` over the yielded
-        chunks therefore always reproduces ``Response.output`` bitwise.
+        chunks always reproduces ``Response.output`` bitwise.
         """
         queue: asyncio.Queue = asyncio.Queue()
         loop = asyncio.get_running_loop()
@@ -829,21 +618,14 @@ class Server:
         span = self._begin_request_span(request)
         if span is not None:
             request = replace(request, trace=span.context.to_wire())
-        trace = request.trace
+        chunks = StreamReconciler(request)
         submit = asyncio.ensure_future(self._submit(request, deadline, tap))
-        emitted = ""
-        seq = 0
         try:
             while True:
                 getter: asyncio.Future = asyncio.ensure_future(queue.get())
                 done, _ = await asyncio.wait({getter, submit}, return_when=asyncio.FIRST_COMPLETED)
                 if getter in done:
-                    delta = getter.result()
-                    emitted += delta
-                    yield ResponseChunk(
-                        task=request.task, seq=seq, text=delta, request_id=request.request_id, trace=trace
-                    )
-                    seq += 1
+                    yield chunks.delta(getter.result())
                     continue
                 getter.cancel()
                 break
@@ -854,83 +636,29 @@ class Server:
             # Taps enqueue via call_soon_threadsafe before the worker's future
             # resolves, so everything the decode produced is already here.
             while not queue.empty():
-                delta = queue.get_nowait()
-                emitted += delta
-                yield ResponseChunk(
-                    task=request.task, seq=seq, text=delta, request_id=request.request_id, trace=trace
-                )
-                seq += 1
-            if response.ok:
-                if response.output.startswith(emitted):
-                    remainder = response.output[len(emitted):]
-                    if remainder:
-                        yield ResponseChunk(
-                            task=request.task, seq=seq, text=remainder, request_id=request.request_id, trace=trace
-                        )
-                        seq += 1
-                else:
-                    # The stream drafted text the final answer replaced: reset
-                    # assembly with one authoritative seq-0 chunk.
-                    yield ResponseChunk(
-                        task=request.task, seq=0, text=response.output, request_id=request.request_id, trace=trace
-                    )
-                    seq = 1
-            yield ResponseChunk(
-                task=request.task, seq=seq, final=True, response=response, request_id=request.request_id, trace=trace
-            )
+                yield chunks.delta(queue.get_nowait())
+            for chunk in chunks.finish(response):
+                yield chunk
         finally:
             if span is not None:  # the consumer abandoned the stream mid-flight
                 obs.TRACES.finish(span, status="error")
             if not submit.done():
                 submit.cancel()
 
-    # -- routing -----------------------------------------------------------------------
-    def _route(self, request: Request, key: str) -> _Deployment:
-        """The deployment serving ``request`` (pin > canary hash > primary)."""
-        pinned = request.deployment
-        if pinned is not None:
-            deployment = self._require_deployment(pinned)
-            if deployment.draining:
-                raise ModelConfigError(f"deployment {pinned!r} is draining and not accepting requests")
-            if request.task not in deployment.tasks:
-                raise ModelConfigError(
-                    f"deployment {pinned!r} does not serve task {request.task!r}"
-                )
-            return deployment
-        target = self._router.route(request.task, key)
-        if target is None:
-            return self._default
-        deployment = self._deployments.get(target)
-        if deployment is None or deployment.draining:
-            # A stale table observed mid-flip; the primary always answers.
-            return self._default
-        return deployment
+    # -- the gateway's thread executor -------------------------------------------------
+    def _identify(self, request: Request) -> tuple[_Prepared, str | None]:
+        self.pipeline.backend(request.task)  # fail fast on unconfigured tasks
+        return self.pipeline.prepare(request), request.deployment
 
-    def _shadow_target(self, request: Request, key: str, primary: _Deployment) -> _Deployment | None:
-        """The deployment to mirror this request to, if it is shadow-sampled.
+    def _bind(self, base: _Prepared, deployment: _Deployment) -> _Prepared:
+        """``base`` under the response-cache namespace of one routing decision.
 
-        Pinned requests are never shadowed (the caller asked for one exact
-        version), and a sample that would land on the primary itself, a
-        missing version, a draining one, or one not serving the task is
-        skipped rather than failed — shadow traffic is best-effort by design.
-        """
-        if request.deployment is not None:
-            return None
-        target = self._router.shadow(request.task, key)
-        if target is None or target == primary.deployment_id:
-            return None
-        deployment = self._deployments.get(target)
-        if deployment is None or deployment.draining or request.task not in deployment.tasks:
-            return None
-        return deployment
-
-    def _cache_suffix(self, deployment: _Deployment) -> str:
-        """The response-cache namespace for one routing decision.
-
-        The primary deployment at revision 0 keeps the bare key (and the
-        PR 4 ``precision`` namespacing), so a server without an active
-        deployment layer shares cache entries with synchronous pipeline
-        callers exactly as before.
+        A canary (or a precision override, or a new weight revision) must
+        neither replay the incumbent's cached outputs nor poison its cache
+        with its own.  The primary deployment at revision 0 keeps the bare
+        key (and the PR 4 ``precision`` namespacing), so a server without an
+        active deployment layer shares cache entries with synchronous
+        pipeline callers exactly as before.
         """
         parts = []
         if deployment.is_default and self.config.precision is not None:
@@ -939,191 +667,56 @@ class Server:
             parts.append(f"deployment={deployment.deployment_id}")
         if deployment.revision:
             parts.append(f"rev={deployment.revision}")
-        return "".join(f"|{part}" for part in parts)
+        return base.namespaced("".join(f"|{part}" for part in parts))
 
-    def _enqueue(
-        self, prepared: _Prepared, task: str, deployment: _Deployment, deadline: float | None
-    ) -> _Job | None:
-        """Queue ``prepared`` on its (task, deployment) lane; ``None`` when full."""
-        loop = asyncio.get_running_loop()
-        queue = self._queue_for(task, deployment)
-        now = loop.time()
-        job = _Job(
-            prepared,
-            loop.create_future(),
-            enqueued_at=now,
-            deadline_at=None if deadline is None else now + deadline,
-            deployment=deployment,
-        )
-        try:
-            queue.put_nowait(job)
-        except asyncio.QueueFull:
-            return None
-        deployment.pending += 1
-        deployment.counts["routed"] += 1
-        self._inflight[prepared.key] = job.future
-        return job
-
-    # -- shadow traffic ------------------------------------------------------------------
-    def _shadow_bucket(self, primary_id: str, shadow_id: str) -> dict:
-        key = f"{primary_id}->{shadow_id}"
-        return self._shadow_stats.setdefault(
-            key,
-            {
-                "samples": 0,
-                "agreements": 0,
-                "shadow_errors": 0,
-                "primary_errors": 0,
-                "dropped": 0,
-                "latency_delta_ms_sum": 0.0,
-            },
-        )
-
-    def _spawn_shadow(
-        self,
-        base: _Prepared,
-        task: str,
-        primary: _Deployment,
-        shadow: _Deployment,
-        primary_future: asyncio.Future,
-    ) -> None:
-        """Mirror one request to ``shadow`` and record the comparison.
-
-        The duplicate goes through the normal queue/batch machinery under the
-        shadow deployment's cache namespace (so it coalesces with — and warms
-        the cache for — real traffic pinned to that version), but its future
-        is consumed only by the recorder task: the caller's response is
-        already decided by the primary path.  A full shadow queue drops the
-        sample (counted) instead of back-pressuring live traffic.
-        """
-        loop = asyncio.get_running_loop()
-        shadow.counts["shadow_requests"] += 1
-        prepared = base.namespaced(self._cache_suffix(shadow))
+    def _cached(self, prepared: _Prepared, deployment: _Deployment) -> Response | None:
         cached = self.pipeline.cached_response(prepared)
         if cached is not None:
-            shadow_future: asyncio.Future = loop.create_future()
-            shadow_future.set_result(("ok", {"output": cached.output}))
-        else:
-            shared = self._inflight.get(prepared.key)
-            if shared is not None:
-                shadow_future = shared
-            else:
-                job = self._enqueue(prepared, task, shadow, deadline=None)
-                if job is None:
-                    self._shadow_bucket(primary.deployment_id, shadow.deployment_id)["dropped"] += 1
-                    return
-                shadow_future = job.future
-        recorder = loop.create_task(
-            self._record_shadow(primary.deployment_id, shadow.deployment_id, primary_future, shadow_future)
-        )
-        self._dispatch_tasks.add(recorder)
-        recorder.add_done_callback(self._dispatch_tasks.discard)
+            cached.telemetry = _merge_telemetry(
+                cached.telemetry, _telemetry(cache_hit=True, deployment=deployment.deployment_id)
+            )
+        return cached
 
-    async def _record_shadow(
-        self,
-        primary_id: str,
-        shadow_id: str,
-        primary_future: asyncio.Future,
-        shadow_future: asyncio.Future,
-    ) -> None:
-        """Await both sides of one shadow pair and fold them into the stats."""
-
-        async def resolved(future: asyncio.Future) -> tuple[tuple, float]:
-            outcome = await future
-            return outcome, asyncio.get_running_loop().time()
-
-        (primary_outcome, primary_done), (shadow_outcome, shadow_done) = await asyncio.gather(
-            resolved(primary_future), resolved(shadow_future)
-        )
-        bucket = self._shadow_bucket(primary_id, shadow_id)
-        primary_output = primary_outcome[1]["output"] if primary_outcome[0] == "ok" else None
-        shadow_output = shadow_outcome[1]["output"] if shadow_outcome[0] == "ok" else None
-        if primary_output is None or shadow_output is None:
-            # Attribute the failure to the side that actually failed: an
-            # incumbent error must not read as candidate unhealthiness.
-            if shadow_output is None:
-                bucket["shadow_errors"] += 1
-            if primary_output is None:
-                bucket["primary_errors"] += 1
-            return
-        bucket["samples"] += 1
-        bucket["agreements"] += primary_output == shadow_output
-        bucket["latency_delta_ms_sum"] += (shadow_done - primary_done) * 1000.0
-
-    # -- request completion ------------------------------------------------------------
-    async def _await_owner(self, job: _Job) -> Response:
-        outcome = await job.future
-        if outcome[0] == "ok":
-            self._counts["completed"] += 1
-            response = self.pipeline.response_from(job.prepared, outcome[1], cached=False)
-        else:
-            response = self._account(error_response(job.prepared.request, outcome[1], outcome[2]))
-        response.telemetry = _merge_telemetry(
-            response.telemetry,
-            _telemetry(
-                queue_ms=round(job.queue_seconds * 1000.0, 3),
-                batch_size=job.batch_size,
-                worker=job.worker_id,
-                deployment=job.deployment.deployment_id,
-            ),
-        )
-        return response
-
-    async def _await_result(
-        self, prepared: _Prepared, shared: asyncio.Future, coalesced: bool, deployment: _Deployment
-    ) -> Response:
-        outcome = await shared
-        if outcome[0] == "ok":
-            self._counts["completed"] += 1
-            response = self.pipeline.response_from(prepared, outcome[1], cached=True)
-        else:
-            response = self._account(error_response(prepared.request, outcome[1], outcome[2]))
-        response.telemetry = _merge_telemetry(
-            response.telemetry, _telemetry(coalesced=coalesced, deployment=deployment.deployment_id)
-        )
-        return response
-
-    def _account(self, response: Response) -> Response:
-        self._counts[response.error] += 1
-        if response.telemetry is None:
-            response.telemetry = _telemetry()
-        return response
-
-    # -- collection and dispatch -------------------------------------------------------
-    def _queue_for(self, task: str, deployment: _Deployment) -> asyncio.Queue:
+    def _enqueue(self, job: Job) -> None:
+        """Queue ``job`` on its (task, deployment) lane, creating the lane on first use."""
+        if job.on_text is not None:
+            job.ticket = replace(job.ticket, on_text=job.on_text)
+        task, deployment = job.ticket.request.task, job.deployment
         key = (task, deployment.deployment_id)
-        queue = self._queues.get(key)
-        if queue is None:
+        if key not in self._lanes:
             queue = asyncio.Queue(maxsize=self.config.queue_size)
-            self._queues[key] = queue
-            self._collectors[key] = asyncio.get_running_loop().create_task(
+            collector = asyncio.get_running_loop().create_task(
                 self._collect(task, deployment, queue),
                 name=f"repro-serving-collect-{task}-{deployment.deployment_id}",
             )
-        return queue
+            self._lanes[key] = (queue, collector)
+        try:
+            self._lanes[key][0].put_nowait(job)
+        except asyncio.QueueFull:
+            raise Rejected(
+                ERROR_QUEUE_FULL,
+                f"{task} queue for {deployment.deployment_id} is full ({self.config.queue_size} pending requests)",
+            ) from None
 
+    def _response(self, prepared: _Prepared, deployment: _Deployment, outcome: Outcome, job: Job | None) -> Response:
+        """The owner's response, or a coalesced follower's when ``job`` is ``None``."""
+        if outcome.error is None:
+            response = self.pipeline.response_from(prepared, outcome.payload, cached=job is None)
+        else:
+            response = error_response(prepared.request, outcome.error, outcome.detail)
+        if job is None:
+            serving = _telemetry(coalesced=True, deployment=deployment.deployment_id)
+        else:
+            serving = _telemetry(deployment=deployment.deployment_id, **(job.telemetry or {}))
+        response.telemetry = _merge_telemetry(response.telemetry, serving)
+        return response
+
+    # -- collection and dispatch -------------------------------------------------------
     async def _collect(self, task: str, deployment: _Deployment, queue: asyncio.Queue) -> None:
         """Accumulate one (task, deployment) queue into batches under the flush policy."""
-        window = self._window
         loop = asyncio.get_running_loop()
         while True:
-            batch = [await queue.get()]
-            opened_at = loop.time()
-            while not window.is_full(len(batch)):
-                # Drain whatever is already queued without timer machinery —
-                # under bursty traffic this fills most batches for free.
-                try:
-                    batch.append(queue.get_nowait())
-                    continue
-                except asyncio.QueueEmpty:
-                    pass
-                remaining = window.remaining_wait(opened_at, loop.time())
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(queue.get(), remaining))
-                except asyncio.TimeoutError:  # noqa: UP041 - not builtin TimeoutError on 3.10
-                    break
+            batch = await collect_batch(queue, self._window)
             # Acquiring the worker before spawning the batch task caps the
             # number of in-flight batches at num_workers and lets the bounded
             # queue absorb (or reject) the overflow in the meantime.
@@ -1132,60 +725,60 @@ class Server:
             self._dispatch_tasks.add(dispatch)
             dispatch.add_done_callback(self._dispatch_tasks.discard)
 
-    async def _run_batch(
-        self, task: str, deployment: _Deployment, jobs: list[_Job], worker: _Worker
-    ) -> None:
-        """Run one collected batch on ``worker``; resolve every job's future."""
+    async def _run_batch(self, task: str, deployment: _Deployment, jobs: list[Job], worker: int) -> None:
+        """Run one collected batch on worker thread ``worker``; resolve every job."""
         loop = asyncio.get_running_loop()
+        resolve = self._gateway.resolve
         try:
             now = loop.time()
-            live: list[_Job] = []
+            live: list[Job] = []
             for job in jobs:
                 if job.deadline_at is not None and now > job.deadline_at:
                     waited = round((now - job.enqueued_at) * 1000.0, 3)
-                    self._resolve(job, ("error", ERROR_DEADLINE, f"request waited {waited}ms, past its deadline"))
+                    resolve(job, Outcome(error=ERROR_DEADLINE, detail=f"request waited {waited}ms, past its deadline"))
                 else:
                     live.append(job)
             if not live:
                 return
             for job in live:
-                job.queue_seconds = now - job.enqueued_at
-                job.batch_size = len(live)
-                job.worker_id = worker.worker_id
-                self._queue_wait_sum += job.queue_seconds
-                self._queue_wait_max = max(self._queue_wait_max, job.queue_seconds)
+                queue_seconds = now - job.enqueued_at
+                job.telemetry = {
+                    "queue_ms": round(queue_seconds * 1000.0, 3),
+                    "batch_size": len(live),
+                    "worker": worker,
+                }
+                self._queue_wait_sum += queue_seconds
+                self._queue_wait_max = max(self._queue_wait_max, queue_seconds)
                 self._queue_wait_count += 1
-                _QUEUE_WAIT_MS.record(job.queue_seconds * 1000.0)
+                _QUEUE_WAIT_MS.record(queue_seconds * 1000.0)
                 obs.TRACES.record(
                     SPAN_SERVER_QUEUE,
-                    job.prepared.trace,
-                    job.queue_seconds,
+                    job.ticket.trace,
+                    queue_seconds,
                     attrs={"batch_size": len(live)},
                 )
             _BATCH_SIZE.record(float(len(live)))
             self._batch_count += 1
             self._batch_size_sum += len(live)
             self._full_batch_count += len(live) >= self.config.max_batch
-            self._batches_per_worker[worker.worker_id] = self._batches_per_worker.get(worker.worker_id, 0) + 1
+            self._batches_per_worker[worker] = self._batches_per_worker.get(worker, 0) + 1
             # Approximate: whitespace word counts of the encoded sources, not
             # tokenized lengths (backends tokenize later and may truncate).
-            self._padding_sum += padding_efficiency([len(job.prepared.source.split()) for job in live])
-            prepared = [job.prepared for job in live]
+            self._padding_sum += padding_efficiency([len(job.ticket.source.split()) for job in live])
+            prepared = [job.ticket for job in live]
             execute_started = loop.time()
             try:
-                outputs = await loop.run_in_executor(self._executor, worker.predict, deployment, task, prepared)
+                outputs = await loop.run_in_executor(self._executor, _predict, deployment, task, prepared)
             except Exception as error:  # noqa: BLE001 - a backend bug must not kill the loop
                 self._observe_execute(live, worker, loop.time() - execute_started, status="error")
                 for job in live:
-                    self._resolve(job, ("error", ERROR_BACKEND, str(error)))
+                    resolve(job, Outcome(error=ERROR_BACKEND, detail=str(error)))
                 return
             self._observe_execute(live, worker, loop.time() - execute_started)
             if len(outputs) != len(live):
+                detail = f"backend returned {len(outputs)} outputs for {len(live)} requests"
                 for job in live:
-                    self._resolve(
-                        job,
-                        ("error", ERROR_BACKEND, f"backend returned {len(outputs)} outputs for {len(live)} requests"),
-                    )
+                    resolve(job, Outcome(error=ERROR_BACKEND, detail=detail))
                 return
             # Postprocessing (parse/validate/spec) and cache writes happen
             # here, back on the event-loop thread, where they are serialized.
@@ -1195,72 +788,25 @@ class Server:
                     # engines but is keyed under the old revision's cache
                     # namespace; answer it, but never cache the mismatch.
                     payload = self.pipeline.complete(
-                        job.prepared, output, cache=job.revision == deployment.revision
+                        job.ticket, output, cache=job.revision == deployment.revision
                     )
                 except Exception as error:  # noqa: BLE001 - resolve, never hang the future
-                    self._resolve(job, ("error", ERROR_BACKEND, f"postprocessing failed: {error}"))
+                    resolve(job, Outcome(error=ERROR_BACKEND, detail=f"postprocessing failed: {error}"))
                 else:
-                    self._resolve(job, ("ok", payload))
+                    resolve(job, Outcome(output=payload["output"], payload=payload))
         finally:
             self._idle_workers.put_nowait(worker)
 
-    def _observe_execute(
-        self, live: list[_Job], worker: _Worker, execute_seconds: float, status: str = "ok"
-    ) -> None:
+    def _observe_execute(self, live: list[Job], worker: int, execute_seconds: float, status: str = "ok") -> None:
         _EXECUTE_MS.record(execute_seconds * 1000.0)
         for job in live:
             obs.TRACES.record(
                 SPAN_SERVER_EXECUTE,
-                job.prepared.trace,
+                job.ticket.trace,
                 execute_seconds,
                 status=status,
-                attrs={"worker": worker.worker_id, "batch_size": len(live)},
+                attrs={"worker": worker, "batch_size": len(live)},
             )
-
-    def _resolve(self, job: _Job, outcome: tuple) -> None:
-        self._inflight.pop(job.prepared.key, None)
-        if not job.future.done():
-            job.future.set_result(outcome)
-        deployment = job.deployment
-        deployment.pending -= 1
-        if outcome[0] == "ok":
-            deployment.counts["completed"] += 1
-            deployment.latency_ms_sum += (asyncio.get_running_loop().time() - job.enqueued_at) * 1000.0
-        elif outcome[1] == ERROR_BACKEND:
-            deployment.counts["backend_error"] += 1
-            self._maybe_revert(deployment)
-        elif outcome[1] == ERROR_DEADLINE:
-            deployment.counts["deadline_exceeded"] += 1
-
-    def _prune_guards(self) -> None:
-        """Drop guards whose deployment no longer appears in any route or shadow."""
-        referenced = set(self._router.deployments())
-        for deployment_id in [did for did in self._guards if did not in referenced]:
-            del self._guards[deployment_id]
-
-    def _maybe_revert(self, deployment: _Deployment) -> None:
-        """Auto-revert a guarded canary whose error rate breached its threshold."""
-        state = self._guards.get(deployment.deployment_id)
-        if state is None:
-            return
-        guard: CanaryGuard = state["guard"]
-        # Judge only what the canary served since the guard was installed.
-        completed = deployment.counts["completed"] - state["completed"]
-        backend_errors = deployment.counts["backend_error"] - state["backend_errors"]
-        if not guard.should_revert(completed, backend_errors):
-            return
-        self._router = self._router.without(deployment.deployment_id)
-        self._guards.pop(deployment.deployment_id, None)
-        finished = completed + backend_errors
-        self._rollbacks.append(
-            {
-                "deployment": deployment.deployment_id,
-                "error_rate": round(backend_errors / finished, 4),
-                "completed": completed,
-                "backend_errors": backend_errors,
-                "max_error_rate": guard.max_error_rate,
-            }
-        )
 
     # -- observability -----------------------------------------------------------------
     def stats(self) -> dict:
@@ -1278,12 +824,13 @@ class Server:
         that produced the snapshot; ``deployments`` / ``routes`` / ``shadow``
         / ``rollbacks`` expose the deployment layer (see ``docs/deploy.md``).
         """
+        gateway = self._gateway
         batches = self._batch_count
         mean_size = self._batch_size_sum / batches if batches else 0.0
         mean_padding = self._padding_sum / batches if batches else 1.0
         mean_wait = self._queue_wait_sum / self._queue_wait_count if self._queue_wait_count else 0.0
         deployments = {}
-        for deployment_id, deployment in sorted(self._deployments.items()):
+        for deployment_id, deployment in sorted(gateway.deployments.items()):
             completed = deployment.counts["completed"]
             deployments[deployment_id] = {
                 "revision": deployment.revision,
@@ -1300,38 +847,9 @@ class Server:
                 if deployment.manifest is not None
                 else None,
             }
-        shadow = {}
-        for pair, bucket in sorted(self._shadow_stats.items()):
-            samples = bucket["samples"]
-            shadow[pair] = {
-                "samples": samples,
-                "agreements": bucket["agreements"],
-                "agreement_rate": round(bucket["agreements"] / samples, 4) if samples else 0.0,
-                "mean_latency_delta_ms": round(bucket["latency_delta_ms_sum"] / samples, 3) if samples else 0.0,
-                "shadow_errors": bucket["shadow_errors"],
-                "primary_errors": bucket["primary_errors"],
-                "dropped": bucket["dropped"],
-            }
-        snapshot = {
+        return {
             "version": __version__,
-            "requests": {
-                "submitted": self._counts["submitted"],
-                "completed": self._counts["completed"],
-                "cache_hits": self._counts["cache_hits"],
-                "coalesced": self._counts["coalesced"],
-                "rejected": {
-                    "queue_full": self._counts[ERROR_QUEUE_FULL],
-                    "deadline_exceeded": self._counts[ERROR_DEADLINE],
-                    "server_stopped": self._counts[ERROR_SHUTDOWN],
-                },
-                "failed": {
-                    "invalid_request": self._counts[ERROR_INVALID_REQUEST],
-                    "backend_error": self._counts[ERROR_BACKEND],
-                    "shard_failed": self._counts[ERROR_SHARD_FAILED],
-                    "corpus_empty": self._counts[ERROR_CORPUS_EMPTY],
-                    "index_mismatch": self._counts[ERROR_INDEX_MISMATCH],
-                },
-            },
+            "requests": gateway.request_stats(),
             "batches": {
                 "count": batches,
                 "mean_size": round(mean_size, 3),
@@ -1344,12 +862,11 @@ class Server:
                 "max": round(self._queue_wait_max * 1000.0, 3),
             },
             "deployments": deployments,
-            "routes": self._router.describe(),
-            "shadow": shadow,
-            "rollbacks": [dict(entry) for entry in self._rollbacks],
+            "routes": gateway.router.describe(),
+            "shadow": gateway.shadow_stats(),
+            "rollbacks": [dict(entry) for entry in gateway.rollbacks],
             "pipeline": self.pipeline.stats(),
         }
-        return snapshot
 
     def observability(self) -> dict:
         """The process-local metrics snapshot plus any sampled trace spans.

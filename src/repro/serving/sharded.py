@@ -13,13 +13,12 @@ bytes itself.
 Process model
 -------------
 
-* The **gateway** (the forking process) is model-free.  It owns admission
-  control, an exact-match response cache, duplicate coalescing, per-shard
-  batching queues, and the routing stack: a
-  :class:`~repro.deploy.router.HashRing` maps each request's cache key to a
-  stable shard slot, and a :class:`~repro.deploy.router.Router` picks which
-  *deployment* (model version) answers — so canary splits and shadow
-  sampling compose with sharding unchanged.
+* The **gateway** (the forking process) is model-free.  Admission, duplicate
+  coalescing, deployment routing, canary/shadow and accounting are the
+  shared core (:mod:`repro.serving.gateway`); this module is its process
+  *executor*: an exact-match response cache, per-shard batching queues, and
+  a :class:`~repro.deploy.router.HashRing` that maps each request's content
+  key to a stable shard slot.
 * Each **shard** runs a blocking frame loop over two OS pipes (the
   length-prefixed JSON protocol of :mod:`repro.serving.transport`), serving
   ``serve`` frames through ``Pipeline.serve(strict=False)`` and answering
@@ -30,9 +29,10 @@ Process model
 Failure semantics
 -----------------
 
-Shard death is first-class, not exceptional.  The gateway detects it three
-ways — pipe EOF (crash / ``kill -9``), write failure, and missed heartbeats
-(wedge) — then kills and reaps the process, respawns the slot under the same
+Shard death is first-class, not exceptional.  The gateway detects it four
+ways — pipe EOF (crash / ``kill -9``), write failure, missed heartbeats
+(wedge), and a frame it cannot decode or act on (protocol violation) — then
+kills and reaps the process, respawns the slot under the same
 name (so the hash ring re-routes *nothing* once it is back), and **requeues**
 every in-flight request.  Delivery is **at-most-once**: each request's
 future resolves exactly once, results a dying shard managed to flush are
@@ -94,7 +94,7 @@ from repro import __version__, obs
 # need it.  Importing it here would close an import cycle (serving.__init__
 # -> sharded -> deploy.registry -> deploy.manifest -> serving.protocol) the
 # moment repro.deploy initializes; deploy.router is a leaf and safe.
-from repro.deploy.router import HashRing, Router
+from repro.deploy.router import HashRing
 from repro.errors import ModelConfigError, ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import (
@@ -109,17 +109,24 @@ from repro.obs.names import (
 from repro.obs.trace import SpanContext
 from repro.serving.batching import BatchWindow
 from repro.serving.cache import LRUCache
+from repro.serving.gateway import (
+    Deployment,
+    Executor,
+    Gateway,
+    Job,
+    Outcome,
+    Rejected,
+    StreamReconciler,
+    collect_batch,
+)
 from repro.serving.protocol import (
-    ERROR_CORPUS_EMPTY,
-    ERROR_INDEX_MISMATCH,
     ERROR_INVALID_REQUEST,
     ERROR_QUEUE_FULL,
     ERROR_SHARD_FAILED,
     ERROR_SHUTDOWN,
-    ERROR_CODES,
+    SERVABLE_TASKS,
     Request,
     Response,
-    ResponseChunk,
     error_response,
 )
 from repro.serving.transport import (
@@ -493,43 +500,37 @@ def _shard_run(
 
 
 # -- gateway side ----------------------------------------------------------------------
-class _Job:
-    """One admitted request on its way to (or back from) a shard.
+class _Ticket:
+    """The gateway's view of one request: its wire form and identities.
 
-    ``on_text`` (``None`` for ordinary jobs) marks a streaming job: the
-    gateway dispatches it as a solo ``stream`` frame and calls
-    ``on_text(chunk_seq, text)`` for every ``chunk`` frame the shard emits.
-    It survives requeues with the job, so a respawned stream keeps flowing
-    to the same consumer.
+    ``route_key`` is the content identity (ring placement, router hashing);
+    ``key`` starts equal to it and becomes the response-cache key once the
+    ticket is bound to a deployment.  ``requeues`` counts the shard deaths
+    the ticket's job has survived.
     """
 
-    __slots__ = (
-        "request", "wire", "key", "cache_key", "deployment", "future", "shadow", "requeues", "on_text",
-    )
+    __slots__ = ("request", "wire", "route_key", "key", "requeues")
 
-    def __init__(self, request, wire, key, cache_key, deployment, future, shadow=False, on_text=None):
+    def __init__(self, request: Request, wire: dict, route_key: str, key: str | None = None):
         self.request = request
         self.wire = wire
-        self.key = key
-        self.cache_key = cache_key
-        self.deployment = deployment
-        self.future = future
-        self.shadow = shadow
+        self.route_key = route_key
+        self.key = route_key if key is None else key
         self.requeues = 0
-        self.on_text = on_text
 
 
 class _PendingBatch:
-    """A serve frame in flight: its jobs, deployment and dispatch metadata.
+    """A serve frame in flight: its jobs and dispatch metadata.
 
-    ``spans`` holds the per-job ``gateway.dispatch`` spans (``None`` for
-    untraced jobs), finished when the result frame lands or the shard dies.
+    A streaming job (``job.on_text(chunk_seq, text)`` takes its ``chunk``
+    frames) is a batch of one.  ``spans`` holds the per-job
+    ``gateway.dispatch`` spans (``None`` for untraced jobs), finished when
+    the result frame lands or the shard dies.
     """
 
-    __slots__ = ("deployment", "jobs", "dispatched_at", "spans")
+    __slots__ = ("jobs", "dispatched_at", "spans")
 
-    def __init__(self, deployment, jobs, dispatched_at=0.0, spans=None):
-        self.deployment = deployment
+    def __init__(self, jobs, dispatched_at=0.0, spans=None):
         self.jobs = jobs
         self.dispatched_at = dispatched_at
         self.spans = spans if spans is not None else [None] * len(jobs)
@@ -594,24 +595,14 @@ class ShardedServer:
         self.config = config or ShardConfig()
         self._registry_path = str(registry_path)
         self._registry = ModelRegistry(self._registry_path)
-        self._primary = self._registry.get(primary_ref).id
-        self._deployments: set[str] = {self._primary}
-        self._router = Router()
+        primary = Deployment(self._registry.get(primary_ref).id, SERVABLE_TASKS)
+        self._gateway = Gateway(
+            Executor(self._identify, self._bind, self._cached, self._place, self._response), primary
+        )
         self._slots = [_Slot(name=f"shard-{i}") for i in range(self.config.num_shards)]
         self._ring = HashRing([s.name for s in self._slots], replicas=self.config.ring_replicas)
         self._cache = LRUCache(self.config.response_cache_size, name="gateway_response")
-        self._counts: dict[str, int] = {
-            "submitted": 0,
-            "completed": 0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            **{code: 0 for code in ERROR_CODES},
-        }
         self._totals = {"requeues": 0, "restarts": 0, "swaps": 0}
-        self._dep_outstanding: dict[str, int] = {}
-        self._dep_queued: dict[str, int] = {}
-        self._inflight_keys: dict[str, asyncio.Future] = {}
-        self._shadow = {"sampled": 0, "completed": 0, "mismatched": 0, "dropped": 0}
         self._fatal_log: deque[str] = deque(maxlen=20)
         self._gateway_fds: set[int] = set()
         self._seq = 0
@@ -621,8 +612,11 @@ class ShardedServer:
         self._collector_tasks: list[asyncio.Task] = []
         self._respawn_tasks: set[asyncio.Task] = set()
         self._started = False
-        self._stopping = False
         self._closed = False
+
+    @property
+    def _stopping(self) -> bool:
+        return self._gateway.stopped
 
     # -- lifecycle ----------------------------------------------------------------------
     def start(self) -> "ShardedServer":
@@ -680,16 +674,16 @@ class ShardedServer:
         deltas as ``chunk`` frames, and this generator relays them as
         non-final chunks before one final chunk carrying the authoritative
         :class:`Response`.  Joining the non-final texts reproduces
-        ``Response.output`` **bitwise** (reconciled against the final
-        response exactly like the thread server's stream: a remainder chunk
-        tops up any tail the taps missed, and a ``seq`` 0 chunk resets
-        assembly when the draft diverged or the stream restarted on a
-        respawned shard).  Failures — including a shard killed mid-stream
-        with the requeue budget exhausted — terminate the stream with a
-        final chunk whose response carries the structured error code; the
-        stream never hangs and never ends without a final chunk.  Feed the
-        chunks to :func:`~repro.serving.protocol.assemble_stream` to
-        recover the response.
+        ``Response.output`` **bitwise**: the deltas pass through the same
+        :class:`~repro.serving.gateway.StreamReconciler` as the thread
+        server's stream, and a stream that restarted on a respawned shard
+        resets assembly with a ``seq`` 0 chunk.  Failures — including a shard
+        killed mid-stream with the requeue budget exhausted — terminate the
+        stream with a final chunk whose response carries the structured
+        error code; the stream never hangs and never ends without a final
+        chunk.  Feed the chunks to
+        :func:`~repro.serving.protocol.assemble_stream` to recover the
+        response.
         """
         if not isinstance(request, Request):
             raise ModelConfigError(f"stream() needs a Request, got {type(request).__name__}")
@@ -702,47 +696,21 @@ class ShardedServer:
             span = obs.TRACES.root(SPAN_GATEWAY_REQUEST, attrs={"task": request.task, "stream": True})
             if span is not None:
                 request = replace(request, trace=span.context.to_wire())
-        trace = request.trace
+        chunks = StreamReconciler(request)
         events: queue_module.Queue = queue_module.Queue()
         asyncio.run_coroutine_threadsafe(self._stream_submit(request, events.put), self._loop)
-        emitted = ""
-        seq = 0
         while True:
             kind, value = events.get()
             if kind == "done":
                 response = value
                 break
             chunk_seq, text = value
-            if chunk_seq == 0 and seq > 0:
-                # The stream restarted from scratch (its shard died and the
-                # job requeued): reset assembly with a fresh seq-0 chunk.
-                emitted = ""
-                seq = 0
-            emitted += text
-            yield ResponseChunk(
-                task=request.task, seq=seq, text=text, request_id=request.request_id, trace=trace
-            )
-            seq += 1
+            # chunk_seq 0 after earlier chunks: the stream's shard died and
+            # the requeued job is streaming again from scratch.
+            yield chunks.delta(text, restarted=chunk_seq == 0)
         if span is not None:
             obs.TRACES.finish(span, status="ok" if response.error is None else "error")
-        if response.error is None:
-            if response.output.startswith(emitted):
-                remainder = response.output[len(emitted):]
-                if remainder:
-                    yield ResponseChunk(
-                        task=request.task, seq=seq, text=remainder, request_id=request.request_id, trace=trace
-                    )
-                    seq += 1
-            else:
-                # The stream drafted text the final answer replaced: reset
-                # assembly with one authoritative seq-0 chunk.
-                yield ResponseChunk(
-                    task=request.task, seq=0, text=response.output, request_id=request.request_id, trace=trace
-                )
-                seq = 1
-        yield ResponseChunk(
-            task=request.task, seq=seq, final=True, response=response, request_id=request.request_id, trace=trace
-        )
+        yield from chunks.finish(response)
 
     # -- deployment lifecycle -----------------------------------------------------------
     def deploy(self, ref: str) -> str:
@@ -803,7 +771,8 @@ class ShardedServer:
         failed groups, ``shard_failed`` included); ``shards`` reports each
         slot's pid, liveness, generation, restart/dispatch/requeue counters
         and heartbeat age; ``deployments`` / ``primary`` / ``routes`` /
-        ``shadow`` describe the routing stack.
+        ``shadow`` describe the routing stack (``shadow`` is the thread
+        server's ``"primary->shadow"`` agreement ledger).
 
         Like every other public call, the snapshot is taken *on* the gateway
         loop, so it is internally consistent — never torn by concurrent
@@ -856,24 +825,7 @@ class ShardedServer:
     def _snapshot_stats(self, now: float | None) -> dict:
         snapshot = {
             "version": __version__,
-            "requests": {
-                "submitted": self._counts["submitted"],
-                "completed": self._counts["completed"],
-                "cache_hits": self._counts["cache_hits"],
-                "coalesced": self._counts["coalesced"],
-                "rejected": {
-                    "queue_full": self._counts["queue_full"],
-                    "deadline_exceeded": self._counts["deadline_exceeded"],
-                    "server_stopped": self._counts["server_stopped"],
-                },
-                "failed": {
-                    "invalid_request": self._counts["invalid_request"],
-                    "backend_error": self._counts["backend_error"],
-                    "shard_failed": self._counts["shard_failed"],
-                    "corpus_empty": self._counts[ERROR_CORPUS_EMPTY],
-                    "index_mismatch": self._counts[ERROR_INDEX_MISMATCH],
-                },
-            },
+            "requests": self._gateway.request_stats(),
             "shards": {
                 slot.name: {
                     "pid": slot.pid,
@@ -896,10 +848,10 @@ class ShardedServer:
             "restarts": self._totals["restarts"],
             "requeues": self._totals["requeues"],
             "swaps": self._totals["swaps"],
-            "deployments": sorted(self._deployments),
-            "primary": self._primary,
-            "routes": self._router.describe(),
-            "shadow": dict(self._shadow),
+            "deployments": sorted(self._gateway.deployments),
+            "primary": self._gateway.primary.deployment_id,
+            "routes": self._gateway.router.describe(),
+            "shadow": self._gateway.shadow_stats(),
             "gateway_cache": self._cache.stats(),
             "fatal": list(self._fatal_log),
         }
@@ -932,7 +884,7 @@ class ShardedServer:
         self._monitor_task = asyncio.create_task(self._monitor())
 
     async def _stop_async(self) -> None:
-        self._stopping = True
+        self._gateway.stopped = True
         if self._monitor_task is not None:
             self._monitor_task.cancel()
         for task in list(self._respawn_tasks):
@@ -946,9 +898,7 @@ class ShardedServer:
             slot.pending.clear()
             if slot.queue is not None:
                 while not slot.queue.empty():
-                    job = slot.queue.get_nowait()
-                    self._note_dequeued(job)
-                    self._fail_job(job, ERROR_SHUTDOWN, "server stopped with the request queued")
+                    self._fail_job(slot.queue.get_nowait(), ERROR_SHUTDOWN, "server stopped with the request queued")
             if slot.alive:
                 with contextlib.suppress(OSError, TransportError):
                     os.set_blocking(slot.to_fd, True)
@@ -962,7 +912,7 @@ class ShardedServer:
         in_read, in_write = os.pipe()
         out_read, out_write = os.pipe()
         generation = slot.generation + 1
-        refs = sorted(self._deployments)
+        refs = sorted(self._gateway.deployments)
         inherited = sorted(self._gateway_fds)
         pid = os.fork()
         if pid == 0:
@@ -1076,8 +1026,15 @@ class ShardedServer:
         except TransportError as error:
             self._on_shard_death(slot, generation, f"protocol violation: {error}")
             return
-        for message in messages:
-            self._on_message(slot, generation, message)
+        try:
+            for message in messages:
+                self._on_message(slot, generation, message)
+        except Exception as error:  # noqa: BLE001 - a frame the gateway cannot act on condemns its shard
+            # Well-framed but malformed content (a non-dict response, a missing
+            # field, an unhashable seq).  Letting it escape into the loop would
+            # drop the rest of this read and strand every unanswered batch's
+            # futures; the death path requeues or fails them instead.
+            self._on_shard_death(slot, generation, f"protocol violation: {type(error).__name__}: {error}")
 
     def _on_message(self, slot: _Slot, generation: int, message: dict) -> None:
         if slot.generation != generation:
@@ -1185,8 +1142,6 @@ class ShardedServer:
             slot.inflight.release()
             for span in batch.spans:
                 obs.TRACES.finish(span, status="error")
-            outstanding = self._dep_outstanding.get(batch.deployment, 0)
-            self._dep_outstanding[batch.deployment] = max(0, outstanding - len(batch.jobs))
             for job in batch.jobs:
                 self._requeue_job(slot, job, reason)
         if not self._stopping:
@@ -1194,14 +1149,14 @@ class ShardedServer:
             self._respawn_tasks.add(task)
             task.add_done_callback(self._respawn_tasks.discard)
 
-    def _requeue_job(self, slot: _Slot, job: _Job, reason: str) -> None:
-        if job.future is not None and job.future.done():
+    def _requeue_job(self, slot: _Slot, job: Job, reason: str) -> None:
+        if job.future.done():
             return
-        job.requeues += 1
+        job.ticket.requeues += 1
         slot.requeued += 1
         self._totals["requeues"] += 1
         _REQUEUES_TOTAL.inc()
-        if job.requeues > self.config.max_requeues:
+        if job.ticket.requeues > self.config.max_requeues:
             self._fail_job(
                 job,
                 ERROR_SHARD_FAILED,
@@ -1211,11 +1166,19 @@ class ShardedServer:
             return
         self._enqueue(job, requeue=True)
 
-    def _enqueue(self, job: _Job, requeue: bool = False) -> None:
-        """Route ``job`` to a live slot's queue (the hash ring decides which)."""
+    def _enqueue(self, job: Job, requeue: bool = False) -> None:
+        """Re-place an already admitted job; a refusal fails it."""
+        try:
+            self._place(job, requeue)
+        except Rejected as rejected:
+            self._fail_job(job, rejected.code, rejected.detail)
+
+    def _place(self, job: Job, requeue: bool = False) -> None:
+        """Put ``job`` on a live slot's queue (the hash ring decides which)."""
+        key = job.ticket.route_key
         dead = {slot.name for slot in self._slots if not slot.alive}
         try:
-            target_name = self._ring.node(job.key, exclude=dead)
+            target_name = self._ring.node(key, exclude=dead)
         except ModelConfigError:
             # Every shard is down: keep the job on a *respawnable* owner so it
             # runs after the respawn instead of failing a transient total
@@ -1223,35 +1186,26 @@ class ShardedServer:
             # back, so its queue would strand the job forever.
             broken = {slot.name for slot in self._slots if slot.broken}
             try:
-                target_name = self._ring.node(job.key, exclude=broken)
+                target_name = self._ring.node(key, exclude=broken)
             except ModelConfigError:
-                self._fail_job(
-                    job, ERROR_SHARD_FAILED, "every shard is broken; no slot can serve the request"
-                )
-                return
+                raise Rejected(
+                    ERROR_SHARD_FAILED, "every shard is broken; no slot can serve the request"
+                ) from None
         target = next(slot for slot in self._slots if slot.name == target_name)
         try:
             target.queue.put_nowait(job)
-            self._note_queued(job)
         except asyncio.QueueFull:
             if requeue:
-                self._fail_job(job, ERROR_SHARD_FAILED, "no shard had queue capacity for the requeued request")
-            else:
-                self._fail_job(job, ERROR_QUEUE_FULL, f"{target.name}'s queue is full")
-
-    def _note_queued(self, job: _Job) -> None:
-        """Count ``job`` into its deployment's queued total (drain accounting)."""
-        self._dep_queued[job.deployment] = self._dep_queued.get(job.deployment, 0) + 1
-
-    def _note_dequeued(self, job: _Job) -> None:
-        self._dep_queued[job.deployment] = max(0, self._dep_queued.get(job.deployment, 0) - 1)
+                raise Rejected(
+                    ERROR_SHARD_FAILED, "no shard had queue capacity for the requeued request"
+                ) from None
+            raise Rejected(ERROR_QUEUE_FULL, f"{target.name}'s queue is full") from None
 
     def _drain_queue_of_broken_slot(self, slot: _Slot) -> None:
         if slot.queue is None:
             return
         while not slot.queue.empty():
             job = slot.queue.get_nowait()
-            self._note_dequeued(job)
             if any(s.alive for s in self._slots):
                 self._enqueue(job)
             else:
@@ -1296,30 +1250,15 @@ class ShardedServer:
     async def _collect(self, slot: _Slot, window: BatchWindow) -> None:
         while not self._stopping:
             await slot.ready.wait()
-            job = await slot.queue.get()
-            batch = [job]
-            opened = self._loop.time()
-            while not window.is_full(len(batch)):
-                remaining = window.remaining_wait(opened, self._loop.time())
-                if remaining <= 0:
-                    break
-                try:
-                    # asyncio.TimeoutError, not builtin TimeoutError: they are
-                    # distinct classes on 3.10 (aliases from 3.11), and wait_for
-                    # raises the asyncio one there.
-                    item = await asyncio.wait_for(slot.queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                batch.append(item)
-            groups: dict[str, list[_Job]] = {}
-            for item in batch:
-                groups.setdefault(item.deployment, []).append(item)
+            groups: dict[str, list[Job]] = {}
+            for item in await collect_batch(slot.queue, window):
+                groups.setdefault(item.deployment.deployment_id, []).append(item)
             # One frame per unit: plain jobs share a serve frame, but every
             # streaming job is its own stream frame (its chunk frames must
             # interleave on the reply pipe, so streams never share a batch).
             # Each unit takes one inflight-semaphore slot, matching the one
             # release its result (or its shard's death) will produce.
-            units: list[tuple[str, list[_Job]]] = []
+            units: list[tuple[str, list[Job]]] = []
             for deployment, jobs in groups.items():
                 plain = [job for job in jobs if job.on_text is None]
                 if plain:
@@ -1330,7 +1269,6 @@ class ShardedServer:
                 if not slot.alive or self._stopping:
                     slot.inflight.release()
                     for pending_job in jobs:
-                        self._note_dequeued(pending_job)
                         if self._stopping:
                             self._fail_job(pending_job, ERROR_SHUTDOWN, "server stopped")
                         else:
@@ -1338,36 +1276,30 @@ class ShardedServer:
                     continue
                 self._dispatch(slot, deployment, jobs)
 
-    def _dispatch(self, slot: _Slot, deployment: str, jobs: list[_Job]) -> None:
+    def _dispatch(self, slot: _Slot, deployment: str, jobs: list[Job]) -> None:
         self._seq += 1
         seq = self._seq
         # Per-job dispatch spans: each covers the frame's round trip to the
-        # shard.  job.wire was encoded at admission, so a traced job's wire
-        # dict is re-pointed (copy-on-write) at the dispatch span — a requeue
-        # re-dispatches under a fresh span rather than reusing a dead one.
+        # shard.  The wire form was encoded at admission, so a traced job's
+        # wire dict is re-pointed (copy-on-write) at the dispatch span — a
+        # requeue re-dispatches under a fresh span rather than a dead one.
         spans = []
         wires = []
         for job in jobs:
             span = obs.TRACES.begin(
                 SPAN_GATEWAY_DISPATCH,
-                SpanContext.from_wire(job.wire.get("trace")),
+                SpanContext.from_wire(job.ticket.wire.get("trace")),
                 attrs={"slot": slot.name, "deployment": deployment},
             )
             spans.append(span)
             if span is None:
-                wires.append(job.wire)
+                wires.append(job.ticket.wire)
             else:
-                wire = dict(job.wire)
+                wire = dict(job.ticket.wire)
                 wire["trace"] = span.context.to_wire()
                 wires.append(wire)
-        slot.pending[seq] = _PendingBatch(deployment, jobs, dispatched_at=self._loop.time(), spans=spans)
+        slot.pending[seq] = _PendingBatch(jobs, dispatched_at=self._loop.time(), spans=spans)
         slot.dispatched += len(jobs)
-        # Jobs move from the queued to the outstanding count atomically (both
-        # mutations happen on the loop with no await between them), so the
-        # undeploy drain never sees a job in neither.
-        for job in jobs:
-            self._note_dequeued(job)
-        self._dep_outstanding[deployment] = self._dep_outstanding.get(deployment, 0) + len(jobs)
         if len(jobs) == 1 and jobs[0].on_text is not None:
             self._send(
                 slot,
@@ -1385,38 +1317,41 @@ class ShardedServer:
         )
 
     def _resolve_batch(self, slot: _Slot, seq, response_dicts: list[dict]) -> None:
-        batch = slot.pending.pop(seq, None)
+        batch = slot.pending.get(seq)
         if batch is None:
             return
+        complete = len(response_dicts) == len(batch.jobs)
+        if complete:
+            # Delivered before the batch leaves slot.pending: a payload the
+            # gateway cannot handle raises out of here with the batch still
+            # pending, so condemning the shard (_on_readable) requeues
+            # whatever was not delivered.
+            for job, payload in zip(batch.jobs, response_dicts):
+                self._deliver(slot, job, payload)
+            slot.completed += len(batch.jobs)
+        del slot.pending[seq]
         slot.inflight.release()
         _DISPATCH_MS.record((self._loop.time() - batch.dispatched_at) * 1000.0)
-        status = "ok" if len(response_dicts) == len(batch.jobs) else "error"
         for span in batch.spans:
-            obs.TRACES.finish(span, status=status)
-        outstanding = self._dep_outstanding.get(batch.deployment, 0)
-        self._dep_outstanding[batch.deployment] = max(0, outstanding - len(batch.jobs))
-        if len(response_dicts) != len(batch.jobs):
+            obs.TRACES.finish(span, status="ok" if complete else "error")
+        if not complete:
             for job in batch.jobs:
                 self._fail_job(
                     job,
                     ERROR_SHARD_FAILED,
                     f"{slot.name} returned {len(response_dicts)} responses for {len(batch.jobs)} requests",
                 )
-            return
-        slot.completed += len(batch.jobs)
-        for job, payload in zip(batch.jobs, response_dicts):
-            self._deliver(slot, job, payload)
 
     # -- delivery and accounting --------------------------------------------------------
-    def _deliver(self, slot: _Slot, job: _Job, payload: dict) -> None:
-        if payload.get("error") is None and not job.shadow:
+    def _deliver(self, slot: _Slot, job: Job, payload: dict) -> None:
+        if payload.get("error") is None:
             stored = dict(payload)
             # Shard-placement telemetry is per-delivery and must not replay,
             # but pipeline stage artifacts (corpus_qa retrieval/merge) are a
             # deterministic function of the request — keep those.
             stages = (payload.get("telemetry") or {}).get("stages")
             stored["telemetry"] = {"stages": copy.deepcopy(stages)} if stages is not None else None
-            self._cache.put(job.cache_key, stored)
+            self._cache.put(job.ticket.key, stored)
         enriched = dict(payload)
         telemetry = dict(enriched.get("telemetry") or {})
         # Spans the shard shipped back move into the gateway's trace store —
@@ -1424,30 +1359,20 @@ class ShardedServer:
         shipped_spans = telemetry.pop("spans", None)
         if shipped_spans:
             obs.TRACES.ingest(shipped_spans)
-        telemetry.update({"shard": slot.name, "shard_generation": slot.generation, "requeues": job.requeues})
+        telemetry.update(
+            {"shard": slot.name, "shard_generation": slot.generation, "requeues": job.ticket.requeues}
+        )
         enriched["telemetry"] = telemetry
         try:
             response = Response.from_dict(enriched)
         except ReproError as error:
             self._fail_job(job, ERROR_SHARD_FAILED, f"undecodable shard response: {error}")
             return
-        self._finish(job, response)
+        self._gateway.resolve(job, Outcome(response.output, response.error, response.detail, payload=response))
 
-    def _fail_job(self, job: _Job, code: str, detail: str) -> None:
-        if job.future is not None and job.future.done():
-            return
-        self._finish(job, error_response(job.request, code, detail))
-
-    def _finish(self, job: _Job, response: Response) -> None:
-        if not job.shadow:
-            if response.error is None:
-                self._counts["completed"] += 1
-            else:
-                self._counts[response.error] += 1
-        if self._inflight_keys.get(job.cache_key) is job.future:
-            del self._inflight_keys[job.cache_key]
-        if job.future is not None and not job.future.done():
-            job.future.set_result(response)
+    def _fail_job(self, job: Job, code: str, detail: str) -> None:
+        if not job.future.done():
+            self._gateway.resolve(job, Outcome(error=code, detail=detail))
 
     # -- admission ----------------------------------------------------------------------
     @staticmethod
@@ -1467,88 +1392,64 @@ class ShardedServer:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         return hashlib.md5(canonical.encode("utf-8")).hexdigest()
 
-    def _resolve_deployment(self, request: Request, key: str) -> str:
-        if request.deployment:
-            name = request.deployment
-            if name in self._deployments:
-                return name
-            if "@" not in name:
-                versions = [
-                    dep for dep in self._deployments if dep.rsplit("@", 1)[0] == name
-                ]
-                if versions:
-                    return max(versions, key=lambda dep: int(dep.rsplit("@", 1)[1]))
-            raise ModelConfigError(
-                f"unknown or undeployed deployment {name!r}; active: {', '.join(sorted(self._deployments))}"
-            )
-        routed = self._router.route(request.task, key)
-        if routed is not None and routed in self._deployments:
-            return routed
-        return self._primary
+    # The gateway's process executor: identify / bind / cached / response here,
+    # _place (above) as its enqueue.
+    def _identify(self, request: Request) -> tuple[_Ticket, str | None]:
+        wire = request_to_wire(request)
+        pin = request.deployment or None
+        if pin is not None and pin not in self._gateway.deployments and "@" not in pin:
+            # A bare-name pin means the highest deployed version of that name.
+            versions = [dep for dep in self._gateway.deployments if dep.rsplit("@", 1)[0] == pin]
+            if versions:
+                pin = max(versions, key=lambda dep: int(dep.rsplit("@", 1)[1]))
+        return _Ticket(request, wire, self._routing_key(wire)), pin
+
+    @staticmethod
+    def _bind(ticket: _Ticket, deployment: Deployment) -> _Ticket:
+        return _Ticket(
+            ticket.request, ticket.wire, ticket.route_key, f"{ticket.route_key}|{deployment.deployment_id}"
+        )
+
+    def _cached(self, ticket: _Ticket, deployment: Deployment) -> Response | None:
+        cached = self._cache.get(ticket.key)
+        if cached is None:
+            return None
+        return self._replay(cached, ticket.request, cached_hit=True, via="gateway_cache")
+
+    def _response(self, ticket: _Ticket, deployment: Deployment, outcome: Outcome, job: Job | None) -> Response:
+        response = outcome.payload
+        if response is None:  # failed in the gateway, not answered by a shard
+            response = error_response(ticket.request, outcome.error, outcome.detail)
+        if job is not None:
+            return response
+        return self._replay(response.as_dict(), ticket.request, cached_hit=response.error is None, via="coalesced")
 
     async def _submit(self, request: Request, on_text=None) -> Response:
-        span = None
-        if isinstance(request, Request) and request.trace is None:
-            # The gateway is the trace root; a request already carrying wire
-            # context (the stream() generator roots its own) just propagates.
-            span = obs.TRACES.root(SPAN_GATEWAY_REQUEST, attrs={"task": request.task})
-            if span is not None:
-                request = replace(request, trace=span.context.to_wire())
-        try:
-            response = await self._submit_inner(request, on_text)
-        except BaseException:
-            obs.TRACES.finish(span, status="error")
-            raise
-        obs.TRACES.finish(span, status="ok" if response.error is None else "error")
-        return response
-
-    async def _submit_inner(self, request: Request, on_text=None) -> Response:
-        self._counts["submitted"] += 1
         if not isinstance(request, Request):
             # error_response() would dereference .task / .request_id on the
             # invalid object; build the structured rejection without touching it.
-            self._counts[ERROR_INVALID_REQUEST] += 1
+            self._gateway.counts["submitted"] += 1
+            self._gateway.counts[ERROR_INVALID_REQUEST] += 1
             return Response(
                 task="",
                 output="",
                 error=ERROR_INVALID_REQUEST,
                 detail=f"submit() needs a Request, got {type(request).__name__}",
             )
-        if self._stopping:
-            return self._finish_inline(request, ERROR_SHUTDOWN, "server is stopped")
-        wire = request_to_wire(request)
-        key = self._routing_key(wire)
+        span = None
+        if request.trace is None:
+            # The gateway is the trace root; a request already carrying wire
+            # context (the stream() generator roots its own) just propagates.
+            span = obs.TRACES.root(SPAN_GATEWAY_REQUEST, attrs={"task": request.task})
+            if span is not None:
+                request = replace(request, trace=span.context.to_wire())
         try:
-            deployment = self._resolve_deployment(request, key)
-        except ModelConfigError as error:
-            return self._finish_inline(request, ERROR_INVALID_REQUEST, str(error))
-        cache_key = f"{key}|{deployment}"
-
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            self._counts["cache_hits"] += 1
-            self._counts["completed"] += 1
-            return self._replay(cached, request, cached_hit=True, via="gateway_cache")
-
-        inflight = self._inflight_keys.get(cache_key)
-        if inflight is not None and not inflight.done():
-            self._counts["coalesced"] += 1
-            primary = await asyncio.shield(inflight)
-            payload = primary.as_dict()
-            if primary.error is not None:
-                self._counts[primary.error] += 1
-                replayed = self._replay(payload, request, cached_hit=False, via="coalesced")
-            else:
-                self._counts["completed"] += 1
-                replayed = self._replay(payload, request, cached_hit=True, via="coalesced")
-            return replayed
-
-        future = self._loop.create_future()
-        job = _Job(request, wire, key, cache_key, deployment, future, on_text=on_text)
-        self._inflight_keys[cache_key] = future
-        self._maybe_shadow(request, wire, key, future)
-        self._enqueue(job)
-        return await future
+            response = await self._gateway.submit(request, on_text=on_text)
+        except BaseException:
+            obs.TRACES.finish(span, status="error")
+            raise
+        obs.TRACES.finish(span, status="ok" if response.error is None else "error")
+        return response
 
     async def _stream_submit(self, request: Request, put) -> Response:
         """Run :meth:`_submit` with a chunk tap feeding ``put``; always ends
@@ -1572,10 +1473,6 @@ class ShardedServer:
         put(("done", response))
         return response
 
-    def _finish_inline(self, request, code: str, detail: str) -> Response:
-        self._counts[code] += 1
-        return error_response(request, code, detail)
-
     def _replay(self, payload: dict, request: Request, cached_hit: bool, via: str) -> Response:
         replayed = dict(payload)
         replayed["request_id"] = request.request_id
@@ -1587,34 +1484,6 @@ class ShardedServer:
             telemetry["stages"] = copy.deepcopy(stages)
         replayed["telemetry"] = telemetry
         return Response.from_dict(replayed)
-
-    def _maybe_shadow(self, request: Request, wire: dict, key: str, primary_future) -> None:
-        shadow_dep = self._router.shadow(request.task, key)
-        if shadow_dep is None or shadow_dep not in self._deployments:
-            return
-        self._shadow["sampled"] += 1
-        shadow_future = self._loop.create_future()
-        job = _Job(request, wire, key, f"{key}|{shadow_dep}", shadow_dep, shadow_future, shadow=True)
-        dead = {slot.name for slot in self._slots if not slot.alive}
-        try:
-            target_name = self._ring.node(job.key, exclude=dead)
-            target = next(slot for slot in self._slots if slot.name == target_name)
-            target.queue.put_nowait(job)
-            self._note_queued(job)
-        except (ModelConfigError, asyncio.QueueFull):
-            self._shadow["dropped"] += 1
-            return
-        asyncio.ensure_future(self._record_shadow(primary_future, shadow_future))
-
-    async def _record_shadow(self, primary_future, shadow_future) -> None:
-        try:
-            primary, shadow = await asyncio.gather(primary_future, shadow_future)
-        except Exception:  # noqa: BLE001 - shadow traffic is best-effort
-            self._shadow["dropped"] += 1
-            return
-        self._shadow["completed"] += 1
-        if primary.output != shadow.output or primary.error != shadow.error:
-            self._shadow["mismatched"] += 1
 
     async def _serve_async(self, requests: list[Request]) -> list[Response]:
         return list(await asyncio.gather(*(self._submit(request) for request in requests)))
@@ -1635,7 +1504,7 @@ class ShardedServer:
             except asyncio.TimeoutError:
                 continue
             if dep_id in slot.deployments:
-                return  # a respawn already loaded it from self._deployments
+                return  # a respawn already loaded it from the deployed set
             waiter = self._loop.create_future()
             slot.waiters[("loaded", ref)] = waiter
             self._send(slot, {"type": "load", "ref": ref})
@@ -1657,80 +1526,65 @@ class ShardedServer:
         self._registry = ModelRegistry(self._registry_path)
         return self._registry
 
+    def _deployment_id(self, ref: str) -> str:
+        """``ref`` as an exact id: a bare name means its latest registered version."""
+        return ref if "@" in ref else self._fresh_registry().get(ref).id
+
     async def _deploy_async(self, ref: str) -> str:
         manifest = self._fresh_registry().verify(ref)
         dep_id = manifest.id
-        self._deployments.add(dep_id)
+        deployments = self._gateway.deployments
+        # Recorded before it is loaded, so a shard respawned mid-deploy carries it.
+        deployments.setdefault(dep_id, Deployment(dep_id, SERVABLE_TASKS))
         try:
             for slot in self._slots:
                 await self._load_on_slot(slot, dep_id, dep_id)
         except ModelConfigError:
-            if dep_id != self._primary:
-                self._deployments.discard(dep_id)
+            if dep_id != self._gateway.primary.deployment_id:
+                deployments.pop(dep_id, None)
             raise
         return dep_id
 
     async def _rolling_swap_async(self, ref: str) -> str:
         dep_id = await self._deploy_async(ref)
-        if dep_id != self._primary:
-            self._primary = dep_id
+        if dep_id != self._gateway.primary.deployment_id:
+            self._gateway.primary = self._gateway.deployments[dep_id]
             self._totals["swaps"] += 1
         return dep_id
 
     async def _undeploy_async(self, ref: str) -> None:
-        dep_id = self._fresh_registry().get(ref).id if "@" not in ref else ref
-        if dep_id == self._primary:
-            raise ModelConfigError(f"{dep_id} is the primary deployment; swap first, then undeploy")
-        if dep_id not in self._deployments:
-            raise ModelConfigError(f"{dep_id} is not deployed")
-        self._router = self._router.without(dep_id)
-        self._deployments.discard(dep_id)
-        # Drain: queued jobs pinned to the version still dispatch (their slot
-        # keeps the pipeline until the unload frame below), so wait for both
-        # the queued and outstanding counts to reach zero before unloading
-        # anywhere — bounded, so a request stuck in an error/requeue cycle
-        # cannot spin this loop forever.
-        deadline = self._loop.time() + self.config.drain_timeout_s
-        while (
-            self._dep_outstanding.get(dep_id, 0) > 0 or self._dep_queued.get(dep_id, 0) > 0
-        ):
-            if self._loop.time() >= deadline:
-                self._deployments.add(dep_id)  # still loaded; let the caller retry
-                raise ModelConfigError(
-                    f"timed out draining {dep_id} after {self.config.drain_timeout_s}s; "
-                    "the version stays deployed — retry undeploy once its work settles"
-                )
-            await asyncio.sleep(0.005)
+        dep_id = self._deployment_id(ref)
+        deployment = self._gateway.retire(dep_id)
+        # Drain: jobs already queued on the version still dispatch (every slot
+        # keeps the pipeline until the unload frame below) — bounded, so a
+        # request stuck in an error/requeue cycle cannot hold this forever.
+        if not await self._gateway.drained(deployment, self.config.drain_timeout_s):
+            deployment.draining = False  # still loaded; let the caller retry
+            raise ModelConfigError(
+                f"timed out draining {dep_id} after {self.config.drain_timeout_s}s; "
+                "the version stays deployed — retry undeploy once its work settles"
+            )
+        del self._gateway.deployments[dep_id]
         for slot in self._slots:
             if slot.alive:
                 self._send(slot, {"type": "unload", "deployment": dep_id})
 
     async def _set_routes_async(self, task: str, weights: dict[str, float]) -> None:
-        unknown = sorted(set(weights) - self._deployments)
-        if unknown:
-            raise ModelConfigError(f"cannot route to undeployed versions: {', '.join(unknown)}")
-        self._router = self._router.with_routes(task, weights)
+        self._gateway.set_routes(task, weights)
 
     async def _set_canary_async(self, task: str, ref: str, fraction: float) -> None:
-        dep_id = self._fresh_registry().get(ref).id if "@" not in ref else ref
-        if dep_id not in self._deployments:
-            raise ModelConfigError(f"canary target {dep_id} is not deployed; call deploy() first")
+        dep_id = self._deployment_id(ref)
         if not 0.0 <= fraction <= 1.0:
             raise ModelConfigError(f"canary fraction must be in [0, 1], got {fraction!r}")
         if fraction <= 0.0:
-            self._router = self._router.without_task(task)
+            self._gateway.clear_routes(task)
         elif fraction >= 1.0:
-            self._router = self._router.with_routes(task, {dep_id: 1.0})
+            self._gateway.set_routes(task, {dep_id: 1.0})
         else:
-            self._router = self._router.with_routes(
-                task, {self._primary: 1.0 - fraction, dep_id: fraction}
-            )
+            self._gateway.set_canary(task, self._gateway.primary.deployment_id, dep_id, fraction)
 
     async def _set_shadow_async(self, task: str, ref: str, fraction: float) -> None:
-        dep_id = self._fresh_registry().get(ref).id if "@" not in ref else ref
-        if fraction > 0 and dep_id not in self._deployments:
-            raise ModelConfigError(f"shadow target {dep_id} is not deployed; call deploy() first")
-        self._router = self._router.with_shadow(task, dep_id, fraction)
+        self._gateway.set_shadow(task, self._deployment_id(ref), fraction)
 
     async def _inject_fault_async(self, slot_name: str, mode: str, after: int) -> None:
         slot = next((s for s in self._slots if s.name == slot_name), None)

@@ -525,9 +525,9 @@ class TestCanaryAutoRevert:
                     "fevisqa", DEFAULT_DEPLOYMENT, "candidate@1", 0.5,
                     max_error_rate=0.2, min_requests=3,
                 )
-                assert "candidate@1" in server._guards
+                assert "candidate@1" in server._gateway.guards
                 server.clear_routes("fevisqa")
-                return dict(server._guards)
+                return dict(server._gateway.guards)
 
         assert _run(drive()) == {}
 

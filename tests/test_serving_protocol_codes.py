@@ -51,7 +51,7 @@ def test_server_counts_every_code():
     pipeline_stub = type("PipelineStub", (), {})()
     srv = server.Server(pipeline_stub)  # type: ignore[arg-type]
     for code in ERROR_CODES:
-        assert code in srv._counts, f"Server does not count {code!r}"
+        assert code in srv._gateway.counts, f"Server does not count {code!r}"
 
 
 def test_server_stats_groups_cover_every_code():

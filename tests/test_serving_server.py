@@ -363,7 +363,7 @@ class TestStatsSnapshotCost:
         srv = Server(pipeline_stub)  # type: ignore[arg-type]
         for index in range(10_000):
             name = f"viz@{index}"
-            srv._deployments[name] = server_module._Deployment(name, pipeline_stub)
+            srv._gateway.deployments[name] = server_module._Deployment(name, pipeline_stub)
         tracemalloc.start()
         snapshot = srv.stats()
         _, peak = tracemalloc.get_traced_memory()
@@ -379,12 +379,12 @@ class TestStatsSnapshotCost:
 
         pipeline_stub = type("PipelineStub", (), {"stats": lambda self: {}})()
         srv = Server(pipeline_stub)  # type: ignore[arg-type]
-        srv._rollbacks.append({"deployment": "viz@1", "reason": "canary"})
+        srv._gateway.rollbacks.append({"deployment": "viz@1", "reason": "canary"})
         snapshot = srv.stats()
         snapshot["requests"]["submitted"] = 999
         snapshot["deployments"][DEFAULT_DEPLOYMENT]["requests"]["completed"] = 999
         snapshot["rollbacks"][0]["reason"] = "mutated"
         snapshot["rollbacks"].append({"x": 1})
-        assert srv._counts["submitted"] == 0
-        assert srv._deployments[DEFAULT_DEPLOYMENT].counts["completed"] == 0
-        assert srv._rollbacks == [{"deployment": "viz@1", "reason": "canary"}]
+        assert srv._gateway.counts["submitted"] == 0
+        assert srv._gateway.deployments[DEFAULT_DEPLOYMENT].counts["completed"] == 0
+        assert srv._gateway.rollbacks == [{"deployment": "viz@1", "reason": "canary"}]

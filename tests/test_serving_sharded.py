@@ -14,14 +14,19 @@ throughput knob (telemetry, which carries shard identity, is excluded from
 
 from __future__ import annotations
 
+import asyncio
+import os
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.deploy import ModelRegistry
+from repro.deploy.router import Router
 from repro.errors import ModelConfigError
-from repro.serving import Request, ShardConfig, ShardedServer
+from repro.serving import Request, Response, ShardConfig, ShardedServer, request_to_wire
+from repro.serving.transport import encode_frame
 
 pytestmark = pytest.mark.slow
 
@@ -234,3 +239,194 @@ class TestGatewaySemantics:
             ShardConfig(batch_deadline_ms=0.0)
         with pytest.raises(ModelConfigError):
             ShardConfig(calibrated_service_ms="fast")  # type: ignore[arg-type]
+
+
+def fresh_questions(env, count: int, tag: str) -> list[Request]:
+    """``count`` never-before-seen fevisqa requests, so no cache can answer them."""
+    example = env["nvbench"].examples[0]
+    schema = env["pool"].get(example.db_id).schema
+    return [
+        Request(task="fevisqa", question=f"{tag} {index} : which bar is tallest ?", chart=example.query, schema=schema)
+        for index in range(count)
+    ]
+
+
+def wait_for(predicate, timeout: float = 15.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return False
+
+
+class TestControlPlane:
+    """deploy / set_routes / set_canary / set_shadow / undeploy on a live 1-shard server.
+
+    ``viz@1`` and ``viz@2`` are the same checkpoint, so which version served a
+    request is read from the gateway cache instead of the output: an answer
+    is cached under the version that computed it, so a repeat pinned to that
+    version hits and one pinned to the other misses.
+    """
+
+    @pytest.fixture()
+    def server(self, env, tmp_path):
+        # Its own registry: a viz@2 in the shared one would re-resolve the
+        # other tests' bare-name ``deployment="viz"`` pins.
+        registry = ModelRegistry(tmp_path / "registry.json")
+        for version in (1, 2):
+            registry.register_checkpoint("viz", env["model"], tmp_path / f"ckpt-v{version}")
+        config = ShardConfig(num_shards=1, calibrated_service_ms=5.0)
+        with ShardedServer(tmp_path / "registry.json", "viz@1", config) as server:
+            assert server.deploy("viz@2") == "viz@2"
+            yield server
+
+    @staticmethod
+    def assert_served_by(server, request: Request, expected: str) -> None:
+        other = "viz@1" if expected == "viz@2" else "viz@2"
+        assert server.submit(replace(request, deployment=expected)).cached
+        assert not server.submit(replace(request, deployment=other)).cached
+
+    @pytest.mark.parametrize("install", ["set_routes", "set_canary"])
+    def test_splits_are_deterministic_and_equal_router_route(self, env, server, install):
+        if install == "set_routes":
+            server.set_routes("fevisqa", {"viz@1": 0.5, "viz@2": 0.5})
+        else:
+            server.set_canary("fevisqa", "viz@2", 0.5)
+        table = Router().with_routes("fevisqa", {"viz@1": 0.5, "viz@2": 0.5})
+        assert server.stats()["routes"]["fevisqa"]["weights"] == table.weights("fevisqa")
+        requests = fresh_questions(env, 12, install)
+        first = server.serve(requests)
+        assert [response.error for response in first] == [None] * len(requests)
+        assert all(response.cached for response in server.serve(requests))  # same key, same version
+        expected = [
+            table.route("fevisqa", ShardedServer._routing_key(request_to_wire(request))) for request in requests
+        ]
+        assert set(expected) == {"viz@1", "viz@2"}
+        for request, deployment in zip(requests, expected):
+            self.assert_served_by(server, request, deployment)
+
+    def test_fraction_zero_returns_traffic_to_the_primary(self, env, server):
+        server.set_canary("fevisqa", "viz@2", 1.0)
+        moved = fresh_questions(env, 3, "all-on-canary")
+        server.serve(moved)
+        server.set_canary("fevisqa", "viz@2", 0.0)
+        assert server.stats()["routes"] == {}
+        back = fresh_questions(env, 3, "back-on-primary")
+        server.serve(back)
+        for request in moved:
+            self.assert_served_by(server, request, "viz@2")
+        for request in back:
+            self.assert_served_by(server, request, "viz@1")
+
+    def test_shadow_ledger_agrees_for_identical_versions(self, env, server):
+        server.set_shadow("fevisqa", "viz@2", 1.0)
+        requests = fresh_questions(env, 6, "shadowed")
+        first = server.serve(requests)
+        again = server.serve(requests)  # gateway cache hits are mirrored too
+        assert all(response.cached for response in again) and not any(response.cached for response in first)
+
+        def ledger() -> dict:
+            return server.stats()["shadow"].get("viz@1->viz@2", {})
+
+        assert wait_for(lambda: ledger().get("samples") == 2 * len(requests)), ledger()
+        assert ledger()["agreement_rate"] == 1.0
+        assert (ledger()["shadow_errors"], ledger()["primary_errors"], ledger()["dropped"]) == (0, 0, 0)
+        # mirrored work is not request traffic
+        assert server.stats()["requests"]["submitted"] == 2 * len(requests)
+        server.set_shadow("fevisqa", "viz@2", 0.0)
+        assert server.stats()["routes"] == {}
+
+    def test_undeploy_drains_queued_work_then_refuses_the_pin(self, env, server):
+        pinned = [replace(request, deployment="viz@2") for request in fresh_questions(env, 16, "draining")]
+        responses: list = []
+        sender = threading.Thread(target=lambda: responses.extend(server.serve(pinned)))
+        sender.start()
+        assert wait_for(lambda: server.stats()["shards"]["shard-0"]["pending_batches"] > 0)
+        server.undeploy("viz@2")  # returns only once everything admitted has been answered
+        sender.join(timeout=60)
+        assert [response.error for response in responses] == [None] * len(pinned)
+        stats = server.stats()
+        assert stats["deployments"] == ["viz@1"]
+        assert wait_for(lambda: server.stats()["shards"]["shard-0"]["deployments"] == ["viz@1"])
+        refused = server.submit(replace(fresh_questions(env, 1, "too-late")[0], deployment="viz@2"))
+        assert refused.error == "invalid_request" and "viz@2" in refused.detail
+        with pytest.raises(ModelConfigError, match="cannot be undeployed"):
+            server.undeploy("viz@1")
+
+
+class TestHostileShardFrames:
+    """Well-framed but malformed shard output condemns the shard; nothing hangs.
+
+    No process is forked: each slot's pipes are plain ``os.pipe()`` pairs the
+    test writes shard frames into, read by the gateway's real
+    ``_on_readable`` callback on a private loop.
+    """
+
+    ANSWER = Response(task="fevisqa", output="42").as_dict()
+
+    @pytest.mark.parametrize(
+        "hostile",
+        [
+            {"type": "result", "seq": 1, "responses": ["not-a-dict"]},
+            {"type": "result", "seq": [1], "responses": [ANSWER]},
+            {"type": "chunk", "seq": 1, "chunk_seq": "zero", "text": "x"},
+            {"type": "loaded", "slot": "shard-0"},
+            {"type": "unloaded", "slot": "shard-0"},
+        ],
+        ids=["non-dict-response", "unhashable-seq", "non-int-chunk-seq", "loaded-without-ref", "unloaded-without-id"],
+    )
+    def test_malformed_frame_fails_its_batches_and_the_loop_keeps_reading(self, env, hostile):
+        server = ShardedServer(env["registry_path"], "viz@1", ShardConfig(num_shards=2, max_requeues=0))
+        loop = asyncio.new_event_loop()
+        respawns: list[str] = []
+        ours: list[int] = []
+
+        async def respawn_stub(slot, initial=False) -> None:
+            respawns.append(slot.name)  # the real one would fork
+
+        def attach(slot) -> int:
+            """Give ``slot`` pipes as _fork_shard would; returns the end a shard writes to."""
+            request_read, slot.to_fd = os.pipe()
+            slot.from_fd, reply_write = os.pipe()
+            for fd in (slot.to_fd, slot.from_fd):
+                os.set_blocking(fd, False)
+            slot.generation, slot.alive = 1, True
+            slot.queue, slot.inflight, slot.ready = asyncio.Queue(), asyncio.Semaphore(2), asyncio.Event()
+            slot.ready.set()
+            loop.add_reader(slot.from_fd, server._on_readable, slot, 1)
+            ours.extend((request_read, reply_write))
+            return reply_write
+
+        async def drive():
+            first, second = server._slots
+            server._loop, server._respawn = loop, respawn_stub
+            hostile_pipe, healthy_pipe = attach(first), attach(second)
+            on_text = (lambda seq, text: None) if hostile["type"] == "chunk" else None
+            requests = fresh_questions(env, 3, "hostile")
+            waiting = [asyncio.ensure_future(server._submit(request, on_text=on_text)) for request in requests]
+            await asyncio.sleep(0)
+            jobs = [slot.queue.get_nowait() for slot in server._slots for _ in range(slot.queue.qsize())]
+            jobs.sort(key=lambda job: requests.index(job.ticket.request))  # whichever slot the ring chose
+            server._dispatch(first, "viz@1", jobs[:1])  # seq 1
+            server._dispatch(first, "viz@1", jobs[1:2])  # seq 2
+            server._dispatch(second, "viz@1", jobs[2:])  # seq 3
+            # one read: the hostile frame, then a perfectly good answer for seq 2
+            good = {"type": "result", "seq": 2, "responses": [self.ANSWER]}
+            os.write(hostile_pipe, encode_frame(hostile) + encode_frame(good))
+            condemned = await asyncio.wait_for(asyncio.gather(*waiting[:2]), 5.0)
+            os.write(healthy_pipe, encode_frame({"type": "result", "seq": 3, "responses": [self.ANSWER]}))
+            return condemned, await asyncio.wait_for(waiting[2], 5.0)
+
+        try:
+            condemned, healthy = loop.run_until_complete(drive())
+        finally:
+            for fd in ours:
+                os.close(fd)
+            loop.close()
+        assert [response.error for response in condemned] == ["shard_failed", "shard_failed"]
+        assert healthy.error is None and healthy.output == "42"  # the other pipe was still being read
+        assert respawns == ["shard-0"]
+        assert any("protocol violation" in entry for entry in server._fatal_log)
+        assert server._gateway.request_stats()["failed"]["shard_failed"] == 2
+        assert sum(deployment.pending for deployment in server._gateway.deployments.values()) == 0

@@ -16,6 +16,7 @@ vocabulary so cache hits, empty retrievals and divergent drafts all occur.
 from __future__ import annotations
 
 import asyncio
+import inspect
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,8 +37,10 @@ from repro.serving import (
     ResponseChunk,
     Server,
     ServerConfig,
+    ShardedServer,
     assemble_stream,
 )
+from repro.serving.gateway import StreamReconciler
 
 # -- the pure reassembly contract -------------------------------------------------------
 
@@ -95,6 +98,40 @@ class TestAssembleStream:
             assemble_stream(
                 [ResponseChunk(task="corpus_qa", seq=0, text="aaa"), final_chunk("bbb", 1)]
             )
+
+
+class TestStreamReconciler:
+    """The one reconciler both ``stream()`` front-ends hand their deltas to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        deltas=st.lists(st.tuples(st.booleans(), text), max_size=8),
+        ending=st.sampled_from(["complete", "prefix", "divergent", "empty", "error"]),
+        extra=text,
+    )
+    def test_any_delta_sequence_ends_in_one_final_chunk_and_reassembles(self, deltas, ending, extra):
+        request = Request(task="corpus_qa", question="q", request_id="r-1")
+        reconciler = StreamReconciler(request)
+        emitted = ""
+        chunks = []
+        for restarted, delta in deltas:  # ``restarted``: a requeued stream's chunk_seq 0
+            emitted = delta if restarted else emitted + delta
+            chunks.append(reconciler.delta(delta, restarted=restarted))
+        output = {"complete": emitted, "prefix": emitted + extra, "divergent": extra, "empty": ""}.get(ending, "")
+        error = ERROR_BACKEND if ending == "error" else None
+        response = Response(task="corpus_qa", output=output, error=error, detail=error, request_id="r-1")
+        chunks += reconciler.finish(response)
+
+        assert [chunk.final for chunk in chunks] == [False] * (len(chunks) - 1) + [True]
+        assert assemble_stream(chunks) is response  # and so bitwise-equal: assemble_stream checks the text
+        assert all((chunk.task, chunk.request_id) == ("corpus_qa", "r-1") for chunk in chunks)
+        assert chunks[0].seq == 0
+        for before, after in zip(chunks, chunks[1:]):
+            assert after.seq == before.seq + 1 or (after.seq == 0 and not after.final)
+
+    def test_both_front_ends_use_it(self):
+        for front_end in (Server.stream, ShardedServer.stream):
+            assert "StreamReconciler(" in inspect.getsource(front_end)
 
 
 # -- the live corpus-QA streaming front-end ---------------------------------------------
