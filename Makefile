@@ -4,7 +4,7 @@
 PYTHON ?= python
 EXAMPLES := quickstart text_to_vis_pipeline chart_captioning fevisqa_assistant dataset_report calibrate_checkpoint trace_request
 
-.PHONY: test test-nochaos test-fast test-streaming test-chaos bench bench-e2e bench-compare bench-gates calibrate-demo trace-demo smoke ci install docs check-docs help
+.PHONY: test test-nochaos test-fast test-streaming test-chaos bench bench-e2e bench-compare bench-pair bench-gates calibrate-demo trace-demo smoke ci install docs check-docs help
 
 help:
 	@echo "make test          - tier-1 verification: full test + benchmark suite (pytest -x -q)"
@@ -15,6 +15,7 @@ help:
 	@echo "make bench         - benchmarks/ only: paper tables I-XII, the design gates and the end-to-end smoke run, all at smoke scale"
 	@echo "make bench-e2e     - the end-to-end benchmark: five workloads x three repeats -> benchmarks/e2e/out/result.json (fails if any output misses its oracle; see benchmarks/e2e/README.md)"
 	@echo "make bench-compare PARENT=a.json CHANGE=b.json - paired comparison of two bench-e2e result files (better / worse / unresolved per workload and metric)"
+	@echo "make bench-pair PARENT_SRC=dir [REPEATS=10] [SEED=101] - interleaved ABBA pairs of bench-e2e (--repeats 1 each) on another checkout's src/ and this one, merged into benchmarks/e2e/out/pair/{parent,change}.json, then bench-compare (tools/bench_pair.sh)"
 	@echo "make bench-gates   - design gates at paper scale (benchmarks/test_design_gates.py): cached decode >= naive, continuous >= static batching, short-request p50 >= 1.5x better, calibrated int8 agreement >= 99% / speedup >= 1.5x / compression >= 6x in decode and >= 99% in serving; rewrites BENCH_quant_policy.json"
 	@echo "make calibrate-demo - run the int8 calibration walkthrough (examples/calibrate_checkpoint.py)"
 	@echo "make trace-demo    - stream one corpus_qa request with tracing on and print its span tree (examples/trace_request.py)"
@@ -59,6 +60,13 @@ bench-e2e:
 
 bench-compare:
 	python3 benchmarks/e2e/run.py compare $(PARENT) $(CHANGE)
+
+# What a perf PR needs for its ten pairs: parent and change alternate which
+# side runs first, so minutes-long host drift cancels instead of deciding.
+REPEATS ?= 10
+SEED ?= 101
+bench-pair:
+	tools/bench_pair.sh $(PARENT_SRC) $(REPEATS) $(SEED)
 
 # The design gates no end-to-end metric carries, at the scale where the
 # precision sweep trains and calibrates for real (tier-1 runs the same file

@@ -15,6 +15,21 @@ from repro.metrics.aggregate import GenerationMetrics, evaluate_generation
 from repro.metrics.exact_match import ExactMatchResult, corpus_exact_match
 
 
+#: Examples per ``predict_many`` / ``predict_batch`` call.  Batched inference is
+#: position-aligned and batch-independent (the serving layer's
+#: batch-equals-sequential guarantee), so this only sets how much padding and
+#: per-call overhead an evaluation pays, never what it predicts.
+EVAL_BATCH_SIZE = 8
+
+
+def _predict_in_batches(predict_many: Callable[..., list[str]], *columns: Sequence) -> list[str]:
+    """``predict_many`` over position-aligned ``columns``, :data:`EVAL_BATCH_SIZE` rows a call."""
+    predictions: list[str] = []
+    for start in range(0, len(columns[0]), EVAL_BATCH_SIZE):
+        predictions += predict_many(*(column[start : start + EVAL_BATCH_SIZE] for column in columns))
+    return predictions
+
+
 def evaluate_text_to_vis_model(
     model: TextToVisBaseline | DataVisT5 | Callable[[str], str],
     examples: Sequence[NvBenchExample],
@@ -24,21 +39,23 @@ def evaluate_text_to_vis_model(
 
     ``model`` may be a :class:`TextToVisBaseline`, a :class:`DataVisT5`
     (fed the standard ``<NL> ... <schema> ...`` input) or any callable from
-    source text to predicted query text.
+    source text to predicted query text.  Baselines and DataVisT5 predict
+    through their batch entry points; a plain callable is called per example.
     """
-    predictions: list[str] = []
-    references: list[str] = []
-    for example in examples:
-        schema = pool.get(example.db_id).schema
-        if isinstance(model, TextToVisBaseline):
-            predicted = model.predict(example.question, schema)
-        elif isinstance(model, DataVisT5):
-            predicted = model.predict(text_to_vis_input(example.question, schema))
+    questions = [example.question for example in examples]
+    schemas = [pool.get(example.db_id).schema for example in examples]
+    if isinstance(model, TextToVisBaseline):
+        predictions = _predict_in_batches(model.predict_many, questions, schemas)
+    else:
+        sources = [text_to_vis_input(question, schema) for question, schema in zip(questions, schemas)]
+        if isinstance(model, DataVisT5):
+            predictions = _predict_in_batches(model.predict_batch, sources)
         else:
-            predicted = model(text_to_vis_input(example.question, schema))
-        predictions.append(strip_modality_tags(predicted))
-        references.append(example.query_text)
-    return corpus_exact_match(predictions, references)
+            predictions = [model(source) for source in sources]
+    return corpus_exact_match(
+        [strip_modality_tags(predicted) for predicted in predictions],
+        [example.query_text for example in examples],
+    )
 
 
 def evaluate_generation_model(
@@ -46,18 +63,14 @@ def evaluate_generation_model(
     examples: Sequence[Seq2SeqExample],
 ) -> GenerationMetrics:
     """Evaluate a generation system (vis-to-text / FeVisQA / table-to-text)."""
-    predictions: list[str] = []
-    references: list[str] = []
-    for example in examples:
-        if isinstance(model, TextGenerationBaseline):
-            predicted = model.predict(example.source)
-        elif isinstance(model, DataVisT5):
-            predicted = model.predict(example.source)
-        else:
-            predicted = model(example.source)
-        predictions.append(strip_modality_tags(predicted))
-        references.append(strip_modality_tags(example.target))
-    return evaluate_generation(predictions, references)
+    sources = [example.source for example in examples]
+    if isinstance(model, TextGenerationBaseline):
+        predictions = _predict_in_batches(model.predict_many, sources)
+    elif isinstance(model, DataVisT5):
+        predictions = _predict_in_batches(model.predict_batch, sources)
+    else:
+        predictions = [model(source) for source in sources]
+    return evaluate_predictions(predictions, [example.target for example in examples])
 
 
 def evaluate_predictions(predictions: Sequence[str], references: Sequence[str]) -> GenerationMetrics:

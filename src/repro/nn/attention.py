@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import ModelConfigError
 from repro.nn import functional as F
 from repro.nn.decode_cache import KVState
-from repro.nn.layers import Dropout, Linear, Module, Parameter
+from repro.nn.layers import Dropout, Linear, Module, Parameter, cast_cached
 from repro.nn.tensor import Tensor, grad_enabled
 from repro.utils.rng import seeded_rng
 
@@ -76,6 +78,21 @@ class RelativePositionBias(Module):
         buckets = self._bucket(relative_position)
         bias = self.embedding.embedding_lookup(buckets)  # (Q, K, H)
         return bias.transpose((2, 0, 1)).reshape(1, self.num_heads, query_length, key_length)
+
+    def decode_row(self, key_length: int, dtype) -> np.ndarray:
+        """The newest decode token's ``(1, num_heads, 1, key_length)`` bias row as a ``dtype`` array.
+
+        Bitwise ``forward(1, key_length, query_offset=key_length - 1)`` under
+        that compute dtype.  Memoized per length as a :func:`cast_cached`
+        derivation of the table, so a reloaded table or a train/eval
+        transition drops it like any other weight cast.
+        """
+
+        def row(table: np.ndarray) -> np.ndarray:
+            buckets = self._bucket(np.arange(key_length)[None, :] - (key_length - 1))
+            return table[buckets].transpose(2, 0, 1).reshape(1, self.num_heads, 1, key_length)
+
+        return cast_cached(self, f"decode_row:{key_length}", self.embedding.data, dtype, transform=row)
 
 
 class MultiHeadAttention(Module):
@@ -179,43 +196,11 @@ class MultiHeadAttention(Module):
 
     # -- paged continuous-decode fast path ---------------------------------------------
     # Continuous batching attends each sequence over its *own* exact-length
-    # K/V history (gathered from arena pages), because padding histories to a
-    # common length changes numpy's pairwise-summation grouping and breaks
-    # bitwise equality with the solo decode.  Everything except the
-    # score/softmax/value core stays batched across rows — those ops are
-    # row-stable (per-row M=1 gemms), so slicing a row out of the batched
-    # projections is bitwise-identical to projecting it alone.
-
-    def decode_step_qkv(self, hidden: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        """Project one decode step's batched hidden states into Q/K/V heads.
-
-        ``hidden`` is ``(rows, 1, d_model)`` — one new token per row.  Returns
-        the split-head query tensor ``(rows, heads, 1, head_dim)`` plus raw
-        numpy K/V of the same shape, ready to be appended into each row's
-        :class:`~repro.nn.decode_cache.PagedSequence`.  Decode-only: requires
-        :func:`~repro.nn.tensor.no_grad`.
-        """
-        if grad_enabled():
-            raise ModelConfigError(
-                "decode_step_qkv is a decode-only fast path; run it under no_grad()"
-            )
-        q = self._split_heads(self.q_proj(hidden))
-        k = self._split_heads(self.k_proj(hidden)).numpy()
-        v = self._split_heads(self.v_proj(hidden)).numpy()
-        return q, k, v
-
-    def decode_step_query(self, hidden: Tensor) -> Tensor:
-        """Project only the split-head queries of one decode step.
-
-        The cross-attention half of a continuous-decode step reuses K/V
-        projected at admission, so unlike :meth:`decode_step_qkv` there is
-        nothing to project but the query.  Decode-only.
-        """
-        if grad_enabled():
-            raise ModelConfigError(
-                "decode_step_query is a decode-only fast path; run it under no_grad()"
-            )
-        return self._split_heads(self.q_proj(hidden))
+    # K/V history, because padding histories to a common length changes
+    # numpy's pairwise-summation grouping and breaks bitwise equality with
+    # the solo decode.  Rows whose histories have the *same* length stack:
+    # numpy's matmul runs one inner kernel per ``(row, head)`` whatever the
+    # outer shape, so a stacked bucket is bitwise the per-row loop.
 
     def project_static_kv(self, states: Tensor) -> tuple[np.ndarray, np.ndarray]:
         """Project encoder ``states`` into the split-head K/V a warm cross cache holds.
@@ -236,48 +221,43 @@ class MultiHeadAttention(Module):
 
     def attend_rows(
         self,
-        q: Tensor,
-        keys: list[np.ndarray],
-        values: list[np.ndarray],
-        masks: list[np.ndarray | None] | None = None,
-        position_biases: list[Tensor | None] | None = None,
-    ) -> Tensor:
-        """Attend each query row over its own (per-row length) K/V history.
+        q: np.ndarray,
+        keys: Sequence[np.ndarray],
+        values: Sequence[np.ndarray],
+        masks: Sequence[np.ndarray | None] | None = None,
+        position_biases: Sequence[np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Attend query rows over per-bucket K/V histories, arrays in and out.
 
-        ``q`` is the ``(rows, heads, 1, head_dim)`` split-head query batch;
-        ``keys[i]``/``values[i]`` are row ``i``'s ``(1, heads, length_i,
-        head_dim)`` history (a :meth:`PagedSequence.view` gather, or a stored
-        cross-attention projection).  ``masks[i]`` is a boolean keep mask
-        broadcastable to ``(1, 1, 1, length_i)`` or ``None``; likewise
-        ``position_biases[i]``.  The per-row core runs the exact op sequence
-        of :meth:`forward` — scale, bias, mask fill, softmax, dropout, value
-        mix — so each row's output is bitwise what that row would get
-        decoding alone.  Returns the merged, output-projected
-        ``(rows, 1, d_model)`` tensor.
+        ``q`` is the ``(rows, heads, 1, head_dim)`` split-head query batch in
+        bucket order: ``keys[i]``/``values[i]`` are the stacked ``(rows_i,
+        heads, length_i, head_dim)`` histories of the next ``rows_i`` query
+        rows, all of one length (a :meth:`PagedKVArena.gather`, or stored
+        cross-attention projections).  ``masks[i]`` is a boolean keep mask
+        broadcastable to ``(rows_i, 1, 1, length_i)`` or ``None``;
+        ``position_biases[i]`` broadcasts to the bucket's scores.  Each bucket
+        runs the numpy calls of eval-mode :meth:`forward` — scale, bias, mask
+        fill, max-shifted softmax, value mix — in ``q``'s dtype, with no
+        autograd objects, so every row's output is bitwise what that row
+        would get decoding alone.  Returns the merged, output-projected
+        ``(rows, 1, d_model)`` array.  Inference-only (no dropout).
         """
-        if grad_enabled():
-            raise ModelConfigError(
-                "attend_rows is a decode-only fast path; run it under no_grad()"
-            )
-        rows = q.shape[0]
-        if len(keys) != rows or len(values) != rows:
-            raise ModelConfigError(f"attend_rows got {rows} query rows but {len(keys)}/{len(values)} K/V histories")
-        scale = 1.0 / np.sqrt(self.head_dim)
-        attended_rows = []
-        for row in range(rows):
-            q_row = q[row : row + 1]
-            scores = (q_row @ Tensor(keys[row]).swapaxes(-1, -2)) * scale
-            bias = position_biases[row] if position_biases is not None else None
-            if bias is not None:
-                scores = scores + bias
-            mask = masks[row] if masks is not None else None
-            if mask is not None:
-                mask = np.asarray(mask, dtype=bool)
-                while mask.ndim < 4:
-                    mask = mask[:, None] if mask.ndim >= 2 else mask[None]
-                scores = scores.masked_fill(~mask, -1e9)
-            weights = F.softmax(scores, axis=-1)
-            weights = self.dropout(weights)
-            attended_rows.append((weights @ Tensor(values[row])).numpy())
-        attended = Tensor(np.concatenate(attended_rows, axis=0))
-        return self.out_proj(self._merge_heads(attended))
+        if self.training:
+            raise ModelConfigError("attend_rows is an inference-only fast path; call eval() first")
+        scalar = q.dtype.type
+        scale, fill = scalar(1.0 / np.sqrt(self.head_dim)), scalar(-1e9)
+        attended, start = [], 0
+        for bucket, (k, v) in enumerate(zip(keys, values)):
+            stop = start + k.shape[0]
+            scores = (q[start:stop] @ k.swapaxes(-1, -2)) * scale
+            if position_biases is not None:
+                scores = scores + position_biases[bucket]
+            if masks is not None and masks[bucket] is not None:
+                scores = np.where(masks[bucket], scores, fill)
+            exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            attended.append((exps / exps.sum(axis=-1, keepdims=True)) @ v)
+            start = stop
+        if start != q.shape[0]:
+            raise ModelConfigError(f"attend_rows got {q.shape[0]} query rows but K/V histories for {start}")
+        merged = self._merge_heads(attended[0] if len(attended) == 1 else np.concatenate(attended, axis=0))
+        return self.out_proj.forward_array(merged)

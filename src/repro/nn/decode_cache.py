@@ -298,6 +298,29 @@ class PagedKVArena:
         if allocations:
             _PAGE_REUSE_RATIO.set(self._page_reuses / allocations)
 
+    def gather(self, layer: int, sequences: "list[PagedSequence]") -> tuple[np.ndarray, np.ndarray]:
+        """Dense ``(rows, heads, length, head_dim)`` K/V copies of equal-length sequences.
+
+        One fancy index over the pool serves the whole bucket — a copy, like
+        :meth:`PagedSequence.view` (which is the one-row case), laid out per
+        row exactly as the contiguous caches are so attention runs the same
+        inner kernel per ``(row, head)``.
+        """
+        length = sequences[0]._lengths[layer]
+        positions = np.arange(length)
+        needed = -(-length // self.page_size)  # a mid-step sequence may own one page more
+        tables = np.asarray([sequence.pages[:needed] for sequence in sequences], dtype=np.int64)
+        flat = tables[:, positions // self.page_size] * self.page_size + positions % self.page_size
+        # Indexing (row, head, position) together lands the copy in the
+        # (rows, heads, length, head_dim) layout directly; a (rows, length, ...)
+        # gather transposed afterwards holds four large arrays at once, which
+        # the allocator serves 10x slower once a bucket passes ~128 KB.
+        index = flat[:, None, :], np.arange(self.num_heads)[None, :, None]
+        return (
+            self._pool_k[layer].reshape(-1, self.num_heads, self.head_dim)[index],
+            self._pool_v[layer].reshape(-1, self.num_heads, self.head_dim)[index],
+        )
+
     # -- page bookkeeping (driven by PagedSequence) ------------------------------------
     def _materialize(self, dtype: np.dtype) -> None:
         shape = (self._initial_pages, self.page_size, self.num_heads, self.head_dim)
@@ -407,22 +430,9 @@ class PagedSequence:
         """Gather ``layer``'s live K/V as dense ``(1, heads, length, head_dim)`` copies."""
         if self._released:
             raise ModelConfigError("PagedSequence was released; its pages belong to the arena again")
-        length = self._lengths[layer]
-        if length == 0:
+        if self._lengths[layer] == 0:
             raise ModelConfigError("cannot view an empty paged sequence; append a step first")
-        page_size = self.arena.page_size
-        positions = np.arange(length)
-        table = np.asarray(self.pages, dtype=np.int64)
-        flat = table[positions // page_size] * page_size + positions % page_size
-        heads, head_dim = self.arena.num_heads, self.arena.head_dim
-        k = self.arena._pool_k[layer].reshape(-1, heads, head_dim)[flat]
-        v = self.arena._pool_v[layer].reshape(-1, heads, head_dim)[flat]
-        # (length, heads, head_dim) -> (1, heads, length, head_dim), densely
-        # laid out like the contiguous caches so attention sees the same shape.
-        return (
-            np.ascontiguousarray(k.transpose(1, 0, 2))[None],
-            np.ascontiguousarray(v.transpose(1, 0, 2))[None],
-        )
+        return self.arena.gather(layer, [self])
 
     def release(self) -> None:
         """Return every page to the arena (idempotent); the sequence is dead after."""

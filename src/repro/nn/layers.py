@@ -20,7 +20,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.errors import ModelConfigError
-from repro.nn.tensor import Tensor, compute_dtype
+from repro.nn.tensor import Tensor, compute_dtype, gelu_array
 from repro.utils.rng import seeded_rng
 
 
@@ -476,6 +476,22 @@ class Linear(Module):
             out = out + bias
         return out
 
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array whose dtype is the compute dtype.
+
+        The no-autograd twin the paged decode step runs: it feeds an attached
+        activation observer the same input, reads the master (or its
+        :func:`cast_cached` cast) at call time and issues the same numpy
+        calls, so the floats are bitwise those of :meth:`forward`.
+        """
+        observer = self.__dict__.get("_activation_observer")
+        if observer is not None:
+            observer.update(x)
+        out = x @ cast_cached(self, "weight", self.weight.data, x.dtype)
+        if self.bias is not None:
+            out = out + cast_cached(self, "bias", self.bias.data, x.dtype)
+        return out
+
 
 class Embedding(Module):
     """Token-id to vector lookup table.
@@ -593,6 +609,13 @@ class RMSNorm(Module):
             return normed * self.weight
         return normed * Tensor(cast_cached(self, "weight", self.weight.data, dtype))
 
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a plain array: the same numpy calls, scalars cast to ``x.dtype``."""
+        scalar = x.dtype.type
+        variance = (x * x).sum(axis=-1, keepdims=True) * scalar(1.0 / x.shape[-1])
+        normed = x * ((variance + scalar(self.eps)) ** -0.5)
+        return normed * cast_cached(self, "weight", self.weight.data, x.dtype)
+
 
 class Dropout(Module):
     """Inverted dropout; a no-op in eval mode or at rate 0."""
@@ -639,3 +662,14 @@ class FeedForward(Module):
         hidden = hidden.relu() if self.activation == "relu" else hidden.gelu()
         hidden = self.dropout(hidden)
         return self.wo(hidden)
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode :meth:`forward` on a plain array (dropout is the identity there)."""
+        hidden = self.wi.forward_array(x)
+        if self.activation == "relu":
+            hidden = hidden * (hidden > 0)
+        else:
+            # The gelu constants are float64 scalars, so a float32 input is
+            # promoted and rounded back once, exactly as ``Tensor.gelu`` does.
+            hidden = np.asarray(gelu_array(hidden)[0], dtype=x.dtype)
+        return self.wo.forward_array(hidden)

@@ -25,6 +25,7 @@ See ``docs/numerics.md`` for the full policy.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from collections.abc import Sequence
 
@@ -121,6 +122,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def gelu_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-approximated GELU of ``x`` and the ``tanh`` term its gradient reuses."""
+    inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
+    tanh_inner = np.tanh(inner)
+    return 0.5 * x * (1.0 + tanh_inner), tanh_inner
 
 
 class Tensor:
@@ -351,9 +359,7 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """The tanh approximation of GELU used by T5 v1.1 style feed-forwards."""
         x = self.data
-        inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
-        tanh_inner = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + tanh_inner)
+        out_data, tanh_inner = gelu_array(x)
 
         def backward(grad, out):
             if self.requires_grad:
@@ -388,7 +394,7 @@ class Tensor:
             count = self.data.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
+            count = math.prod(self.data.shape[a] for a in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":

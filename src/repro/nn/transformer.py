@@ -21,6 +21,7 @@ Training always stays float64 — see ``docs/numerics.md``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -578,10 +579,26 @@ class PagedDecodeBatch:
     regardless of what else shares the batch or when it was admitted.  The
     batched sub-computations (embedding, norms, projections, FFN, LM head)
     are per-row independent — a ``(rows, 1, d)`` matmul is a stack of
-    ``(1, d)`` matmuls — and attention runs per row over that row's exact
-    history (padding histories to a common length would change summation
-    grouping and break bitwise equality; see
+    ``(1, d)`` matmuls — and attention runs over each row's exact history:
+    rows of equal history length share one stacked matmul, and nothing is
+    ever padded to a common length (that would change summation grouping
+    and break bitwise equality; see
     :meth:`~repro.nn.attention.MultiHeadAttention.attend_rows`).
+
+    **The step is array-level.**  :meth:`step` runs the decoder layers on
+    plain arrays through each module's ``forward_array`` twin — the
+    numpy calls of the module path in the same order and dtype, with no
+    :class:`~repro.nn.tensor.Tensor` built inside the layer loop — so the
+    hidden state it hands to :meth:`T5Model.lm_logits` is bitwise the one
+    ``decoder.forward`` with a :class:`DecodeCache` computes for that row
+    alone.  Weights are read from the modules on every step (float64 masters
+    directly, other dtypes through :func:`~repro.nn.layers.cast_cached`);
+    the batch keeps **no weight snapshot**, so a batch that outlives
+    ``load_state_dict``, ``quantize_int8()`` or a train step on its model
+    decodes with the new weights.  Activation observers attached to a
+    projection (:mod:`repro.nn.calibration`) see its input as usual.  Only
+    the embedding lookup, the LM head and the encoder pass in :meth:`admit`
+    still go through the modules' ``forward``.
 
     Inference-only: the model must be in eval mode, and every pass runs
     under :func:`~repro.nn.tensor.no_grad` + :func:`~repro.nn.tensor.autocast`
@@ -605,7 +622,7 @@ class PagedDecodeBatch:
             initial_pages=max_slots,
         )
         self._slots: list[_PagedSlot | None] = [None] * max_slots
-        self._bias_memo: dict[int, Tensor] = {}
+        self._cross_stacks: dict[tuple[int, ...], tuple] = {}  # see _stacked_cross
         self._next_handle = 0
         #: Every token the most recent :meth:`step` emitted, keyed by
         #: sequence handle (finished sequences included).  The hook token
@@ -658,7 +675,7 @@ class PagedDecodeBatch:
             sequence=self.arena.sequence(),
             cross_k=cross_k,
             cross_v=cross_v,
-            cross_mask=attention_mask[:, None, :],  # (1, 1, source_len) keep mask
+            cross_mask=attention_mask[:, None, None, :],  # (1, 1, 1, source_len) keep mask
             max_length=max_length,
             bos_id=self.model.config.bos_id,
         )
@@ -670,6 +687,7 @@ class PagedDecodeBatch:
             if slot is not None and slot.handle == handle:
                 slot.sequence.release()
                 self._slots[index] = None
+                self._cross_stacks = {}
                 return
         raise ModelConfigError(f"no live sequence with handle {handle}")
 
@@ -689,34 +707,37 @@ class PagedDecodeBatch:
             return {}
         decoder = self.model.decoder
         config = self.model.config
+        self_order, self_buckets = _bucket_rows([slot.sequence.length for slot in active])
+        cross_order, cross_buckets = _bucket_rows([slot.cross_mask.shape[-1] for slot in active])
+        cross = self._stacked_cross(active, cross_buckets)
+        cross_masks = [mask for _, _, mask in cross]
         with autocast(self.dtype), no_grad():
             step_ids = np.asarray([[slot.last_token] for slot in active], dtype=np.int64)
-            hidden = decoder.dropout(decoder.embedding(step_ids))
-            for layer_index, layer in enumerate(decoder.layers):
-                normed = layer.norm_self(hidden)
-                q, k_new, v_new = layer.self_attention.decode_step_qkv(normed)
-                keys, values, biases = [], [], []
+            hidden = decoder.embedding(step_ids).data
+            biases = [
+                decoder.position_bias.decode_row(active[bucket[0]].sequence.length + 1, hidden.dtype)
+                for bucket in self_buckets
+            ]
+            for index, layer in enumerate(decoder.layers):
+                attention = layer.self_attention
+                normed = layer.norm_self.forward_array(hidden)
+                q = attention._split_heads(attention.q_proj.forward_array(normed))
+                k_new = attention._split_heads(attention.k_proj.forward_array(normed))
+                v_new = attention._split_heads(attention.v_proj.forward_array(normed))
                 for row, slot in enumerate(active):
-                    slot.sequence.append(layer_index, k_new[row : row + 1], v_new[row : row + 1])
-                    k_row, v_row = slot.sequence.view(layer_index)
-                    keys.append(k_row)
-                    values.append(v_row)
-                    biases.append(self._position_bias(slot.sequence.length))
-                attended = layer.self_attention.attend_rows(q, keys, values, position_biases=biases)
-                hidden = hidden + layer.dropout(attended)
-                normed = layer.norm_cross(hidden)
-                q_cross = layer.cross_attention.decode_step_query(normed)
-                cross = layer.cross_attention.attend_rows(
-                    q_cross,
-                    [slot.cross_k[layer_index] for slot in active],
-                    [slot.cross_v[layer_index] for slot in active],
-                    masks=[slot.cross_mask for slot in active],
+                    slot.sequence.append(index, k_new[row : row + 1], v_new[row : row + 1])
+                keys, values = zip(
+                    *(self.arena.gather(index, [active[row].sequence for row in bucket]) for bucket in self_buckets)
                 )
-                hidden = hidden + layer.dropout(cross)
-                normed = layer.norm_feed_forward(hidden)
-                hidden = hidden + layer.dropout(layer.feed_forward(normed))
-            hidden = decoder.final_norm(hidden)
-            logits = self.model.lm_logits(hidden).numpy()[:, -1, :]
+                hidden = hidden + _attend_rows(attention, self_order, q, keys, values, None, biases)
+                attention = layer.cross_attention
+                normed = layer.norm_cross.forward_array(hidden)
+                q = attention._split_heads(attention.q_proj.forward_array(normed))
+                keys, values = [k[index] for k, _, _ in cross], [v[index] for _, v, _ in cross]
+                hidden = hidden + _attend_rows(attention, cross_order, q, keys, values, cross_masks, None)
+                hidden = hidden + layer.feed_forward.forward_array(layer.norm_feed_forward.forward_array(hidden))
+            hidden = decoder.final_norm.forward_array(hidden)
+            logits = self.model.lm_logits(Tensor(hidden)).numpy()[:, -1, :]
         finished: dict[int, list[int]] = {}
         self.last_step_tokens = {}
         for row, slot in enumerate(active):
@@ -728,16 +749,59 @@ class PagedDecodeBatch:
                 finished[slot.handle] = slot.tokens
                 slot.sequence.release()
                 self._slots[self._slots.index(slot)] = None
+        if finished:
+            self._cross_stacks = {}  # no stacked K/V outlives a sequence in it
         return finished
 
-    def _position_bias(self, key_length: int) -> Tensor:
-        """The single-query relative-position bias row for ``key_length`` cached
-        positions, memoized — it depends only on the length in eval mode."""
-        bias = self._bias_memo.get(key_length)
-        if bias is None:
-            bias = self.model.decoder.position_bias(1, key_length, query_offset=key_length - 1)
-            self._bias_memo[key_length] = bias
-        return bias
+    def _stacked_cross(self, active: list[_PagedSlot], buckets: list[list[int]]) -> list[tuple]:
+        """Each source-length bucket's ``(keys per layer, values per layer, mask)``.
+
+        The cross K/V is static, so a bucket is stacked once per membership
+        (the handles in it) and reused by every later step and layer until a
+        sequence joins or leaves it.  Requests batched into one serving call
+        are padded to one source length, so multi-row cross buckets are the
+        served common case.  A lone row's stored projections pass through
+        uncopied.
+        """
+        stacks = {}
+        for bucket in buckets:
+            slots = [active[row] for row in bucket]
+            members = tuple(slot.handle for slot in slots)
+            stacks[members] = self._cross_stacks.get(members) or (
+                [_stack(layer) for layer in zip(*(slot.cross_k for slot in slots))],
+                [_stack(layer) for layer in zip(*(slot.cross_v for slot in slots))],
+                _stack([slot.cross_mask for slot in slots]),
+            )
+        self._cross_stacks = stacks  # a membership no longer live drops its stack here
+        return list(stacks.values())
+
+
+def _bucket_rows(lengths: list[int]) -> tuple[list[int] | None, list[list[int]]]:
+    """Group row indices by equal K/V length (first-seen order).
+
+    Returns the bucket-major row order — ``None`` when it is already the
+    identity, the common case — and the buckets themselves.
+    """
+    buckets: dict[int, list[int]] = {}
+    for row, length in enumerate(lengths):
+        buckets.setdefault(length, []).append(row)
+    order = [row for bucket in buckets.values() for row in bucket]
+    return (None if order == list(range(len(order))) else order), list(buckets.values())
+
+
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-row ``(1, ...)`` arrays as one ``(rows, ...)`` bucket; a lone row is passed through uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
+
+
+def _attend_rows(attention: MultiHeadAttention, order: list[int] | None, q: np.ndarray, keys, values, masks, biases):
+    """:meth:`MultiHeadAttention.attend_rows` with queries permuted into bucket order and back."""
+    if order is None:
+        return attention.attend_rows(q, keys, values, masks, biases)
+    attended = attention.attend_rows(q[order], keys, values, masks, biases)
+    restored = np.empty_like(attended)
+    restored[order] = attended
+    return restored
 
 
 def _pad_token_rows(rows: list[list[int]], pad_id: int) -> np.ndarray:

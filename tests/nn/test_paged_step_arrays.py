@@ -1,0 +1,318 @@
+"""The array-level paged decode step against the module path, float for float.
+
+``PagedDecodeBatch.step`` runs the decoder layers on plain ndarrays.  Three
+contracts keep that honest:
+
+* **Float identity** — at every step the hidden state handed to
+  ``T5Model.lm_logits`` for each live row is ``np.array_equal`` (dtype
+  included) to what the lock-step module path (``decoder.forward`` with a
+  ``DecodeCache``, batch of one) computes for that row alone at that
+  position, whatever shares the batch, in float64 and float32, relu and gelu.
+* **No weight snapshot** — a ``ContinuousDecodeLoop`` memoized per model
+  object outlives ``load_state_dict``, a train step and ``quantize_int8()``
+  on that object, and must decode with the weights of the moment.
+* **Observers are fed** — an activation observer attached to a projection the
+  step reads sees that projection's input exactly as ``Linear.forward``
+  feeds it.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.config import DataVisT5Config
+from repro.core.model import DataVisT5
+from repro.nn.attention import MultiHeadAttention
+from repro.nn.calibration import observe_activations
+from repro.nn.optim import Adam
+from repro.nn.transformer import T5Model, TransformerConfig
+from repro.serving import continuous_loop_for
+
+PAD = 0
+_MODEL_CACHE: dict[tuple, T5Model] = {}
+
+
+def build_model(activation="relu", num_layers=1, seed=0, eos_id=1) -> T5Model:
+    """A tiny eval-mode model, memoized so hypothesis examples share weights."""
+    key = (activation, num_layers, seed, eos_id)
+    if key not in _MODEL_CACHE:
+        config = TransformerConfig(
+            vocab_size=24,
+            d_model=8,
+            num_heads=2,
+            d_ff=16,
+            num_encoder_layers=num_layers,
+            num_decoder_layers=num_layers,
+            activation=activation,
+            eos_id=eos_id,
+            seed=seed,
+        )
+        _MODEL_CACHE[key] = T5Model(config).eval()
+    return _MODEL_CACHE[key]
+
+
+@contextmanager
+def lm_head_inputs(model: T5Model):
+    """Record (a copy of) every hidden state ``model.lm_logits`` is called with."""
+    seen: list[np.ndarray] = []
+    original = model.lm_logits
+
+    def spy(decoder_hidden):
+        seen.append(decoder_hidden.data.copy())
+        return original(decoder_hidden)
+
+    model.lm_logits = spy
+    try:
+        yield seen
+    finally:
+        del model.lm_logits
+
+
+@contextmanager
+def attention_buckets():
+    """Record the row count of every K bucket each ``attend_rows`` call receives."""
+    calls: list[list[int]] = []
+    original = MultiHeadAttention.attend_rows
+
+    def spy(self, q, keys, values, masks=None, position_biases=None):
+        calls.append([k.shape[0] for k in keys])
+        return original(self, q, keys, values, masks, position_biases)
+
+    MultiHeadAttention.attend_rows = spy
+    try:
+        yield calls
+    finally:
+        MultiHeadAttention.attend_rows = original
+
+
+def module_path_hiddens(model: T5Model, row: np.ndarray, budget: int, dtype: str) -> list[np.ndarray]:
+    """Row ``row`` decoded alone through ``decoder.forward`` + ``DecodeCache``:
+    the ``(1, 1, d_model)`` hidden state handed to the LM head at each position."""
+    with lm_head_inputs(model) as seen:
+        model.generate(row[None], max_length=budget, dtype=dtype)
+    return seen
+
+
+def assert_paged_matches_module_path(model, rows, budgets, admissions, max_slots, page_size, dtype):
+    """Drive a paged batch; compare every live row's LM-head input at every step.
+
+    ``admissions`` is cycled for how many queued rows may join before each
+    step, which staggers sequence lengths independently of the budgets.
+    """
+    references = [module_path_hiddens(model, row, budget, dtype) for row, budget in zip(rows, budgets)]
+    batch = model.paged_decode_batch(max_slots=max_slots, page_size=page_size, dtype=dtype)
+    pending = list(range(len(rows)))
+    owner: dict[int, int] = {}
+    outputs: dict[int, list[int]] = {}
+    turn = 0
+    while len(outputs) < len(rows):
+        quota = admissions[turn % len(admissions)] or (1 if batch.active_count == 0 else 0)
+        turn += 1
+        while pending and batch.free_slots and quota:
+            index = pending.pop(0)
+            owner[batch.admit(rows[index], max_length=budgets[index])] = index
+            quota -= 1
+        live = [(owner[slot.handle], len(slot.tokens)) for slot in batch._slots if slot is not None]
+        with lm_head_inputs(model) as seen:
+            finished = batch.step()
+        (hidden,) = seen
+        assert hidden.shape[0] == len(live)
+        for position_in_batch, (index, position) in enumerate(live):
+            reference = references[index][position]
+            got = hidden[position_in_batch : position_in_batch + 1]
+            assert got.dtype == reference.dtype == np.dtype(dtype)
+            assert np.array_equal(got, reference), f"row {index} differs at position {position}"
+        for handle, tokens in finished.items():
+            outputs[owner[handle]] = tokens
+    for index, tokens in outputs.items():
+        assert len(tokens) == len(references[index])
+    assert batch.arena.pages_in_use == 0
+
+
+@st.composite
+def decode_plan(draw):
+    """Rows (some with a PAD hole), budgets and a staggered admission pattern."""
+    count = draw(st.integers(min_value=2, max_value=6))
+    rows, budgets = [], []
+    for _ in range(count):
+        width = draw(st.integers(min_value=2, max_value=5))
+        row = draw(st.lists(st.integers(min_value=4, max_value=23), min_size=width, max_size=width))
+        hole = draw(st.integers(min_value=-1, max_value=width - 1))
+        if hole >= 0:
+            row[hole] = PAD
+        rows.append(np.asarray(row, dtype=np.int64))
+        budgets.append(draw(st.integers(min_value=1, max_value=8)))
+    admissions = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4))
+    return rows, budgets, admissions
+
+
+class TestFloatIdentity:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        plan=decode_plan(),
+        max_slots=st.integers(min_value=1, max_value=4),
+        page_size=st.integers(min_value=1, max_value=5),
+        dtype=st.sampled_from(["float64", "float32"]),
+        activation=st.sampled_from(["relu", "gelu"]),
+        num_layers=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    def test_lm_head_input_equals_the_module_path(
+        self, plan, max_slots, page_size, dtype, activation, num_layers, seed
+    ):
+        rows, budgets, admissions = plan
+        model = build_model(activation=activation, num_layers=num_layers, seed=seed)
+        assert_paged_matches_module_path(model, rows, budgets, admissions, max_slots, page_size, dtype)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_three_rows_share_one_bucket_out_of_slot_order(self, dtype):
+        """Four rows join together; the second leaves after one token and its
+        slot is refilled, so slots 0, 2, 3 share a history length around the
+        newcomer in slot 1: one three-row bucket, gathered out of slot order."""
+        model = build_model(activation="gelu", num_layers=2, seed=5, eos_id=-1)
+        rows = [np.array(row, dtype=np.int64) for row in ([5, 6, 7], [8, 9, 10], [11, 12, 13], [14, 15, 16], [17, 18])]
+        with attention_buckets() as calls:
+            assert_paged_matches_module_path(
+                model, rows, budgets=[5, 1, 5, 5, 3], admissions=[4, 1], max_slots=4, page_size=2, dtype=dtype
+            )
+        assert any(max(sizes) >= 3 for sizes in calls)
+        assert [3, 1] in calls  # self-attention: slots 0, 2, 3 stacked, then the newcomer
+        assert [4] in calls  # cross-attention: the four equal-length sources stacked
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_no_two_rows_share_a_length(self, dtype):
+        """One admission per step over distinct source lengths: every bucket is a single row."""
+        model = build_model(activation="relu", num_layers=2, seed=6, eos_id=-1)
+        rows = [np.arange(4, 4 + width, dtype=np.int64) for width in (2, 3, 4, 5)]
+        with attention_buckets() as calls:
+            assert_paged_matches_module_path(
+                model, rows, budgets=[8, 7, 6, 5], admissions=[1], max_slots=4, page_size=3, dtype=dtype
+            )
+        assert max(len(sizes) for sizes in calls) == 4  # four rows were live together
+        assert all(size == 1 for sizes in calls for size in sizes)
+
+    def test_cross_bucket_is_stacked_once_per_membership(self):
+        """Equal-length sources (what one serving call pads to) share a cross
+        bucket whose static K/V is stacked when its membership changes — a
+        join, a finish — and handed over as the same arrays on every step and
+        layer in between; nothing stacked outlives the sequences in it."""
+        model = build_model(activation="relu", num_layers=2, seed=7, eos_id=-1)
+        batch = model.paged_decode_batch(max_slots=3, page_size=2)
+        seen: list[tuple[np.ndarray, ...]] = []
+        original = MultiHeadAttention.attend_rows
+
+        def spy(self, q, keys, values, masks=None, position_biases=None):
+            if position_biases is None:
+                seen.append(tuple(keys))
+            return original(self, q, keys, values, masks, position_biases)
+
+        MultiHeadAttention.attend_rows = spy
+        try:
+            batch.admit(np.array([5, 6, 7], dtype=np.int64), max_length=5)
+            batch.admit(np.array([8, 9, 10], dtype=np.int64), max_length=2)
+            batch.step()
+            batch.step()  # the second row finishes here
+            batch.admit(np.array([11, 12, PAD], dtype=np.int64), max_length=3)
+            batch.step()
+            batch.step()
+        finally:
+            MultiHeadAttention.attend_rows = original
+        steps = [seen[index : index + 2] for index in range(0, len(seen), 2)]  # two layers a step
+        assert [[keys[0].shape[0] for keys in step] for step in steps] == [[2, 2]] * 4
+        for layer in range(2):
+            assert steps[1][layer][0] is steps[0][layer][0]  # same membership: the same stack
+            assert steps[2][layer][0] is not steps[1][layer][0]  # a row left, another joined
+            assert steps[3][layer][0] is steps[2][layer][0]
+        assert len(batch._cross_stacks) == 1
+        batch.step()  # both remaining rows reach their budgets
+        assert batch.active_count == 0 and batch._cross_stacks == {}
+
+
+CORPUS = [
+    "visualize bar select artist.country , count ( artist.country ) from artist",
+    "how many artists joined after 1998 ?",
+    "show the attendance of every exhibition by date",
+]
+
+
+def tiny_backend(seed: int) -> DataVisT5:
+    config = DataVisT5Config.from_preset(
+        "tiny", max_input_length=32, max_target_length=16, max_decode_length=8, seed=seed
+    )
+    return DataVisT5.from_corpus(CORPUS, config=config, max_vocab_size=200)
+
+
+class TestNoWeightSnapshot:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_memoized_loop_follows_every_weight_change(self, dtype):
+        """The same memoized loop, decoded through again after each way the
+        repo changes a model object's weights, answers with the new weights:
+        token ids equal the ``use_cache=False`` oracle and every LM-head input
+        equals the module path's.  Any array cached on the batch (weights, a
+        position-bias row) survives one of these changes and fails here."""
+        backend = tiny_backend(seed=0)
+        model = backend.model.eval()
+        loop = continuous_loop_for(model, dtype=dtype, max_slots=2, page_size=4)
+        rows = [np.asarray(backend.tokenizer.encode(text, max_length=32), dtype=np.int64) for text in CORPUS]
+
+        def check():
+            assert continuous_loop_for(model, dtype=dtype, max_slots=2, page_size=4) is loop
+            references = [module_path_hiddens(model, row, 8, dtype) for row in rows]
+            oracles = [model.generate(row[None], max_length=8, use_cache=False, dtype=dtype)[0] for row in rows]
+            for row, reference, oracle in zip(rows, references, oracles):
+                with lm_head_inputs(model) as seen:
+                    (output,) = loop.run([row])
+                assert np.array_equal(output, oracle)
+                assert len(seen) == len(reference)
+                assert all(np.array_equal(got, want) for got, want in zip(seen, reference))
+            return np.concatenate([hidden.ravel() for reference in references for hidden in reference])
+
+        before = check()
+        model.load_state_dict(tiny_backend(seed=1).model.state_dict())
+        reloaded = check()
+        assert not np.array_equal(before[: reloaded.size], reloaded[: before.size])  # the weights did move
+
+        batch = backend.collate(CORPUS[:2], CORPUS[:2])
+        backend.train_step(batch, Adam(model.parameters(), learning_rate=0.05))
+        model.eval()
+        trained = check()
+        assert not np.array_equal(reloaded[: trained.size], trained[: reloaded.size])
+
+        model.quantize_int8()
+        quantized = check()
+        assert not np.array_equal(trained[: quantized.size], quantized[: trained.size])
+
+
+class TestObserverContract:
+    def test_attached_observers_see_what_linear_forward_feeds(self):
+        """Observers attached by ``observe_activations`` record the same
+        inputs, in the same order, under one paged admit + step as under the
+        module path's encoder pass + first cached decoder step."""
+        model = build_model(activation="gelu", num_layers=2, seed=2, eos_id=-1)
+        row = np.array([5, 9, PAD, 13], dtype=np.int64)
+
+        def record(run) -> dict[str, list[np.ndarray]]:
+            fed: dict[str, list[np.ndarray]] = {}
+            with observe_activations(model) as observers:
+                for name, observer in observers.items():
+                    observer.update = lambda values, sink=fed.setdefault(name, []): sink.append(np.array(values))
+                run()
+            return fed
+
+        def paged():
+            batch = model.paged_decode_batch(max_slots=1)
+            batch.admit(row, max_length=4)
+            batch.step()
+
+        via_modules = record(lambda: model.generate(row[None], max_length=1))
+        via_arrays = record(paged)
+        assert via_modules.keys() == via_arrays.keys()
+        for name, inputs in via_modules.items():
+            assert inputs, f"{name} was never fed on the module path"
+            assert len(via_arrays[name]) == len(inputs), f"the paged step skipped the observer on {name}"
+            for got, want in zip(via_arrays[name], inputs):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
