@@ -59,6 +59,8 @@ SPAN_NAMES: tuple[str, ...] = tuple(SPAN_MEANINGS)
 METRIC_SERVER_QUEUE_WAIT_MS = "server.queue_wait_ms"
 METRIC_SERVER_BATCH_SIZE = "server.batch_size"
 METRIC_SERVER_EXECUTE_MS = "server.execute_ms"
+METRIC_GATEWAY_QUEUE_WAIT_MS = "gateway.queue_wait_ms"
+METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL = "gateway.placements_diverted_total"
 METRIC_GATEWAY_DISPATCH_MS = "gateway.dispatch_ms"
 METRIC_GATEWAY_REQUEUES_TOTAL = "gateway.requeues_total"
 METRIC_GATEWAY_RESPAWNS_TOTAL = "gateway.respawns_total"
@@ -76,6 +78,8 @@ METRIC_MEANINGS: dict[str, str] = {
     METRIC_SERVER_QUEUE_WAIT_MS: "histogram: thread-tier queue wait per job, milliseconds",
     METRIC_SERVER_BATCH_SIZE: "histogram: jobs per collected thread-tier batch",
     METRIC_SERVER_EXECUTE_MS: "histogram: worker batch execution time per job, milliseconds",
+    METRIC_GATEWAY_QUEUE_WAIT_MS: "histogram: sharded-tier wait per dispatched job, admission to its frame, milliseconds",
+    METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL: "counter: jobs queued on an idle shard because their ring owner was busy",
     METRIC_GATEWAY_DISPATCH_MS: "histogram: gateway dispatch-to-delivery latency per request, milliseconds",
     METRIC_GATEWAY_REQUEUES_TOTAL: "counter: requests requeued after a shard failure",
     METRIC_GATEWAY_RESPAWNS_TOTAL: "counter: worker-shard processes respawned after death or wedge",

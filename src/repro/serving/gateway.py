@@ -6,9 +6,9 @@ executors; this module is the machine, defined once (``docs/serving.md``,
 "Gateway core"): admission in a fixed order (:meth:`Gateway.submit`), the
 deployment control plane (router flips, canary guards, shadow ledger, the
 per-version ``pending`` counter a drain waits on), completion and request
-accounting (:meth:`Gateway.resolve`), the one batch-window loop
-(:func:`collect_batch`) and the one place a chunk stream meets its final
-response (:class:`StreamReconciler`).
+accounting (:meth:`Gateway.resolve`), the two work-conserving dispatch rules
+(:func:`place` picks a shard, :func:`collect_batch` closes a batch) and the one
+place a chunk stream meets its final response (:class:`StreamReconciler`).
 
 A tier brings an :class:`Executor` plus whatever runs a collected batch
 (threads and engines, or pipes and shard processes) and reports each job
@@ -23,7 +23,7 @@ import asyncio
 from collections.abc import Callable
 from typing import NamedTuple
 
-from repro.deploy.router import CanaryGuard, Router
+from repro.deploy.router import CanaryGuard, HashRing, Router
 from repro.errors import ModelConfigError
 from repro.serving.batching import BatchWindow
 from repro.serving.pipeline import error_code_for
@@ -479,8 +479,26 @@ def _settled(outcome: Outcome) -> asyncio.Future:
     return future
 
 
-async def collect_batch(queue: asyncio.Queue, window: BatchWindow) -> list:
-    """One batch from ``queue``: waits for a first item, then until ``window`` closes."""
+def place(ring: HashRing, key: str, dead: set[str], busy: set[str]) -> tuple[str, bool]:
+    """The live slot ``key`` queues on, and whether that diverted it from its ring owner.
+
+    Work-conserving: an owner with work outstanding (``busy``) passes the job to
+    the next idle point on the ring; once every live slot is busy the owner keeps
+    it, so affinity holds under load.  A pure function of its arguments; raises
+    (:class:`~repro.errors.ModelConfigError`) when ``dead`` covers every slot.
+    """
+    owner = ring.node(key, exclude=dead)
+    if owner in busy and len(dead | busy) < len(ring.slots):
+        return ring.node(key, exclude=dead | busy), True
+    return owner, False
+
+
+async def collect_batch(queue: asyncio.Queue, window: BatchWindow, idle: Callable[[], bool]) -> list:
+    """One batch from ``queue``: a first item plus everything already queued behind it.
+
+    ``window`` is only an upper bound on waiting for more, and applies only while
+    ``idle()`` is false: a batch an idle executor could start now is never held.
+    """
     loop = asyncio.get_running_loop()
     batch = [await queue.get()]
     opened_at = loop.time()
@@ -493,7 +511,7 @@ async def collect_batch(queue: asyncio.Queue, window: BatchWindow) -> list:
         except asyncio.QueueEmpty:
             pass
         remaining = window.remaining_wait(opened_at, loop.time())
-        if remaining <= 0:
+        if remaining <= 0 or idle():
             break
         try:
             batch.append(await asyncio.wait_for(queue.get(), remaining))

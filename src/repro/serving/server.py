@@ -3,10 +3,11 @@
 ``Pipeline.serve`` takes a pre-collected burst: somebody else already did the
 queueing.  This module is that somebody — a :class:`Server` accepts requests
 one at a time (``await server.submit(request, deadline=...)``), absorbs them
-into bounded queues, and drains the queues with a time/size batch collector:
-a batch is dispatched as soon as ``max_batch`` requests are waiting *or*
-``max_wait_ms`` has elapsed since its first request arrived
-(:class:`~repro.serving.batching.BatchWindow`).  Dispatched batches run on a
+into bounded queues, and drains the queues with a work-conserving collector
+(:func:`~repro.serving.gateway.collect_batch`): while a worker is idle a batch
+is whatever is already queued, dispatched at once; while every worker is busy
+it keeps filling until ``max_batch`` requests are waiting *or* ``max_wait_ms``
+has elapsed since its first request arrived.  Dispatched batches run on a
 pool of worker threads over one per-task
 :class:`~repro.serving.pipeline._Engine` set per deployment (engines hold no
 mutable state), so encoder/decoder forward passes for different tasks (or
@@ -34,12 +35,7 @@ canary/shadow and request accounting — is the shared gateway core
 (:mod:`repro.serving.gateway`); this module is its thread *executor*.
 Admission control is structured, never exceptional — every failure is a
 :class:`~repro.serving.protocol.Response` with ``error`` set, so one poisoned
-request can never take down the loop or anyone else's request: a full queue
-(``ERROR_QUEUE_FULL``), an expired deadline (``ERROR_DEADLINE``), a stopped
-server (``ERROR_SHUTDOWN``), an unpreparable request (``ERROR_INVALID_REQUEST``,
-or ``ERROR_CORPUS_EMPTY`` / ``ERROR_INDEX_MISMATCH`` from the corpus_qa request
-stage) or a backend exception (``ERROR_BACKEND``); ``ERROR_SHARD_FAILED`` is
-counted too, for responses relayed from the process-sharded tier.
+request can never take down the loop or anyone else's request.
 
 On top of the request path sits the **deployment lifecycle**
 (:mod:`repro.deploy`, ``docs/deploy.md``): the server hosts any number of
@@ -118,8 +114,10 @@ _EXECUTE_MS = obs.METRICS.histogram(METRIC_SERVER_EXECUTE_MS)
 class ServerConfig:
     """Knobs for the async front-end.
 
-    ``max_batch`` / ``max_wait_ms`` parameterize the flush policy: wait at
-    most ``max_wait_ms`` milliseconds for a batch to fill to ``max_batch``.
+    ``max_batch`` / ``max_wait_ms`` parameterize the flush policy: a batch
+    holds at most ``max_batch`` requests, and ``max_wait_ms`` is the upper
+    bound on how long it waits to fill — paid only while every worker is
+    busy; in front of an idle worker a batch is dispatched at once.
     ``queue_size`` bounds each (task, deployment) queue — submissions beyond
     it are rejected with ``queue_full`` rather than buffered without limit.
     ``num_workers`` is the number of worker threads; it also bounds how many
@@ -716,7 +714,7 @@ class Server:
         """Accumulate one (task, deployment) queue into batches under the flush policy."""
         loop = asyncio.get_running_loop()
         while True:
-            batch = await collect_batch(queue, self._window)
+            batch = await collect_batch(queue, self._window, idle=lambda: not self._idle_workers.empty())
             # Acquiring the worker before spawning the batch task caps the
             # number of in-flight batches at num_workers and lets the bounded
             # queue absorb (or reject) the overflow in the meantime.

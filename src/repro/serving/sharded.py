@@ -18,7 +18,8 @@ Process model
   shared core (:mod:`repro.serving.gateway`); this module is its process
   *executor*: an exact-match response cache, per-shard batching queues, and
   a :class:`~repro.deploy.router.HashRing` that maps each request's content
-  key to a stable shard slot.
+  key to a stable shard slot — which a request leaves only while that shard
+  is busy and another is idle (:func:`~repro.serving.gateway.place`).
 * Each **shard** runs a blocking frame loop over two OS pipes (the
   length-prefixed JSON protocol of :mod:`repro.serving.transport`), serving
   ``serve`` frames through ``Pipeline.serve(strict=False)`` and answering
@@ -100,6 +101,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.names import (
     METRIC_GATEWAY_DISPATCH_MS,
     METRIC_GATEWAY_HEARTBEAT_GAP_MS,
+    METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL,
+    METRIC_GATEWAY_QUEUE_WAIT_MS,
     METRIC_GATEWAY_REQUEUES_TOTAL,
     METRIC_GATEWAY_RESPAWNS_TOTAL,
     SPAN_GATEWAY_DISPATCH,
@@ -118,6 +121,7 @@ from repro.serving.gateway import (
     Rejected,
     StreamReconciler,
     collect_batch,
+    place,
 )
 from repro.serving.protocol import (
     ERROR_INVALID_REQUEST,
@@ -153,6 +157,8 @@ FAULT_MODES = ("exit", "wedge", "drop_batch")
 # process records into its own registry).
 _DISPATCH_MS = obs.METRICS.histogram(METRIC_GATEWAY_DISPATCH_MS)
 _HEARTBEAT_GAP_MS = obs.METRICS.histogram(METRIC_GATEWAY_HEARTBEAT_GAP_MS)
+_PLACEMENTS_DIVERTED_TOTAL = obs.METRICS.counter(METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL)
+_QUEUE_WAIT_MS = obs.METRICS.histogram(METRIC_GATEWAY_QUEUE_WAIT_MS)
 _REQUEUES_TOTAL = obs.METRICS.counter(METRIC_GATEWAY_REQUEUES_TOTAL)
 _RESPAWNS_TOTAL = obs.METRICS.counter(METRIC_GATEWAY_RESPAWNS_TOTAL)
 
@@ -164,9 +170,10 @@ class ShardConfig:
     ``num_shards`` worker processes are forked at :meth:`~ShardedServer.
     start`; each slot has a bounded request queue (``queue_size``, overflow
     is rejected with ``queue_full``) drained by a collector that flushes
-    batches under a :class:`~repro.serving.batching.BatchWindow`
-    (``max_batch`` / ``max_wait_ms``) with at most ``max_inflight_batches``
-    un-answered frames per shard.
+    batches of at most ``max_batch`` with at most ``max_inflight_batches``
+    un-answered frames per shard.  ``max_wait_ms`` is the upper bound on how
+    long a batch waits to fill, paid only while the shard has an unanswered
+    frame; a batch for an idle shard is sent at once.
 
     Liveness: shards emit a heartbeat every ``heartbeat_interval_ms``; a
     shard silent for ``heartbeat_timeout_ms`` is declared wedged, killed and
@@ -1174,11 +1181,15 @@ class ShardedServer:
             self._fail_job(job, rejected.code, rejected.detail)
 
     def _place(self, job: Job, requeue: bool = False) -> None:
-        """Put ``job`` on a live slot's queue (the hash ring decides which)."""
+        """Put ``job`` on a live slot's queue: its ring owner's, or — while the owner has
+        work queued or unanswered and another live shard has none — the next idle one's."""
         key = job.ticket.route_key
         dead = {slot.name for slot in self._slots if not slot.alive}
+        busy = {slot.name for slot in self._slots if slot.pending or not slot.queue.empty()}
         try:
-            target_name = self._ring.node(key, exclude=dead)
+            target_name, diverted = place(self._ring, key, dead, busy)
+            if diverted:
+                _PLACEMENTS_DIVERTED_TOTAL.inc()
         except ModelConfigError:
             # Every shard is down: keep the job on a *respawnable* owner so it
             # runs after the respawn instead of failing a transient total
@@ -1251,7 +1262,7 @@ class ShardedServer:
         while not self._stopping:
             await slot.ready.wait()
             groups: dict[str, list[Job]] = {}
-            for item in await collect_batch(slot.queue, window):
+            for item in await collect_batch(slot.queue, window, idle=lambda: not slot.pending):
                 groups.setdefault(item.deployment.deployment_id, []).append(item)
             # One frame per unit: plain jobs share a serve frame, but every
             # streaming job is its own stream frame (its chunk frames must
@@ -1285,7 +1296,9 @@ class ShardedServer:
         # requeue re-dispatches under a fresh span rather than a dead one.
         spans = []
         wires = []
+        now = self._loop.time()
         for job in jobs:
+            _QUEUE_WAIT_MS.record((now - job.enqueued_at) * 1000.0)
             span = obs.TRACES.begin(
                 SPAN_GATEWAY_DISPATCH,
                 SpanContext.from_wire(job.ticket.wire.get("trace")),
@@ -1298,7 +1311,7 @@ class ShardedServer:
                 wire = dict(job.ticket.wire)
                 wire["trace"] = span.context.to_wire()
                 wires.append(wire)
-        slot.pending[seq] = _PendingBatch(jobs, dispatched_at=self._loop.time(), spans=spans)
+        slot.pending[seq] = _PendingBatch(jobs, dispatched_at=now, spans=spans)
         slot.dispatched += len(jobs)
         if len(jobs) == 1 and jobs[0].on_text is not None:
             self._send(

@@ -71,6 +71,15 @@ def test_metric_meanings_declare_the_instrument_kind():
             assert kind == "histogram", f"{name!r} carries _ms but is a {kind}"
 
 
+def test_both_tiers_name_their_queue_wait_and_the_sharded_tier_its_diverted_placements():
+    # The layer a dispatch change moves is named on both tiers, with one unit.
+    waits = {names.METRIC_SERVER_QUEUE_WAIT_MS, names.METRIC_GATEWAY_QUEUE_WAIT_MS}
+    assert waits == {"server.queue_wait_ms", "gateway.queue_wait_ms"}
+    assert all(METRIC_MEANINGS[name].startswith("histogram:") for name in waits)
+    assert names.METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL == "gateway.placements_diverted_total"
+    assert METRIC_MEANINGS[names.METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL].startswith("counter:")
+
+
 def test_sources_reference_only_known_constants_and_use_all_of_them():
     span_constants = _constants("SPAN_")
     metric_constants = _constants("METRIC_")

@@ -22,10 +22,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.deploy import ModelRegistry
 from repro.deploy.router import Router
 from repro.errors import ModelConfigError
-from repro.serving import Request, Response, ShardConfig, ShardedServer, request_to_wire
+from repro.obs.names import METRIC_ARENA_PAGES_IN_USE, METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL
+from repro.serving import Request, Response, ShardConfig, ShardedServer, assemble_stream, request_to_wire
 from repro.serving.transport import encode_frame
 
 pytestmark = pytest.mark.slow
@@ -258,6 +260,53 @@ def wait_for(predicate, timeout: float = 15.0) -> bool:
             return True
         time.sleep(0.02)
     return False
+
+
+class TestWorkConservingDispatch:
+    def test_two_clients_use_both_shards_and_match_the_sync_pipeline(self, env):
+        """Two closed-loop clients, all-unique requests, every other one streamed."""
+        pool, examples = env["pool"], env["nvbench"].examples
+        requests = []
+        for index, example in enumerate(examples[:24]):
+            schema = pool.get(example.db_id).schema
+            requests.append(Request(task="text_to_vis", question=f"{example.question} ( variant {index} )", schema=schema))
+            requests.append(
+                Request(task="fevisqa", question=f"is bar {index} the tallest ?", chart=example.query, schema=schema)
+            )
+        assert len({ShardedServer._routing_key(request_to_wire(request)) for request in requests}) == len(requests)
+        sync = env["registry"].build_pipeline("viz@1").serve(list(requests), strict=False)
+        diverted = obs.METRICS.counter(METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL)
+        diverted_before = diverted.value
+        answers: list = [None] * len(requests)
+
+        def client(server, offset: int) -> None:
+            for index in range(offset, len(requests), 2):
+                if index % 4 < 2:  # half of each client's requests arrive as a chunk stream
+                    answers[index] = assemble_stream(list(server.stream(requests[index])))
+                else:
+                    answers[index] = server.submit(requests[index])
+
+        with ShardedServer(env["registry_path"], "viz@1", ShardConfig(num_shards=2)) as server:
+            clients = [threading.Thread(target=client, args=(server, offset)) for offset in (0, 1)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120)
+            stats = server.stats()
+            assert server._gateway.unsettled() == []
+
+            def arena_pages() -> list:
+                shards = server.observability()["shards"]
+                return [shards.get(name, {}).get("gauges", {}).get(METRIC_ARENA_PAGES_IN_USE) for name in stats["shards"]]
+
+            assert wait_for(lambda: arena_pages() == [0.0, 0.0]), arena_pages()  # from the shards' own heartbeats
+        assert answers == sync  # bitwise, streamed or not; telemetry is not part of equality
+        assert [answer.cached for answer in answers] == [False] * len(requests)
+        assert all(shard["dispatched"] > 0 for shard in stats["shards"].values()), stats["shards"]
+        assert sum(shard["dispatched"] for shard in stats["shards"].values()) == len(requests)
+        # a request whose ring owner was still serving the other client's went to the idle shard
+        assert 0 < diverted.value - diverted_before <= len(requests)
+        assert stats["requests"]["completed"] == len(requests) and stats["requeues"] == stats["restarts"] == 0
 
 
 class TestControlPlane:

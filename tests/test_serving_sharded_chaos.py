@@ -30,9 +30,11 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.deploy import ModelRegistry
 from repro.errors import ModelConfigError
-from repro.serving import FAULT_MODES, Request, ShardConfig, ShardedServer
+from repro.obs.names import METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL
+from repro.serving import FAULT_MODES, Request, ShardConfig, ShardedServer, request_to_wire
 
 pytestmark = pytest.mark.chaos
 
@@ -156,6 +158,39 @@ class TestProcessDeath:
             assert stats["requests"]["submitted"] == len(requests)
             assert stats["requests"]["completed"] == len(requests)
             assert sum(stats["requests"]["failed"].values()) == 0
+
+
+    def test_diverted_job_whose_shard_dies_requeues_and_resolves_once(self, env):
+        # Long service so the owner is provably still busy when the second job is placed.
+        config = ShardConfig(**{**CHAOS, "calibrated_service_ms": 400.0})
+        diverted = obs.METRICS.counter(METRIC_GATEWAY_PLACEMENTS_DIVERTED_TOTAL)
+        with ShardedServer(env["registry_path"], "viz@1", config) as server:
+            owned = [
+                request
+                for request in fresh_requests(env, 16, "diverted")
+                if server._ring.node(server._routing_key(request_to_wire(request))) == "shard-0"
+            ]
+            first, second = owned[:2]  # both belong to shard-0 on the ring
+            server.inject_fault("shard-1", "exit", after=1)
+            before = diverted.value
+            responses: list = []
+            sender = threading.Thread(target=lambda: responses.append(server.submit(first)))
+            sender.start()
+            assert wait_for(lambda: server.stats()["shards"]["shard-0"]["pending_batches"] > 0)
+            # shard-0 is serving `first`, so `second` is diverted to idle shard-1 — which
+            # dies on it; the requeue finds shard-0 the only live shard and waits there.
+            answer = server.submit(second)
+            sender.join(timeout=30)
+            assert diverted.value - before == 1
+            assert answer.error is None and answer.request_id == second.request_id
+            assert (answer.telemetry["shard"], answer.telemetry["requeues"]) == ("shard-0", 1)
+            assert [r.request_id for r in responses] == [first.request_id] and responses[0].error is None
+            assert_recovered(server)
+            stats = server.stats()
+            assert (stats["requeues"], stats["requests"]["submitted"], stats["requests"]["completed"]) == (1, 2, 2)
+            assert sum(stats["requests"]["failed"].values()) == 0
+            assert server._gateway.unsettled() == []
+            assert server.submit(second).cached  # answered once, cached once
 
 
 class TestFaultInjection:
