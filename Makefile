@@ -4,12 +4,13 @@
 PYTHON ?= python
 EXAMPLES := quickstart text_to_vis_pipeline chart_captioning fevisqa_assistant dataset_report calibrate_checkpoint trace_request
 
-.PHONY: test test-nochaos test-fast test-streaming test-chaos bench bench-e2e bench-compare bench-pair bench-gates calibrate-demo trace-demo smoke ci install docs check-docs help
+.PHONY: test test-nochaos test-fast test-decode test-streaming test-chaos bench bench-e2e bench-compare bench-pair bench-gates calibrate-demo trace-demo smoke ci install docs check-docs help
 
 help:
 	@echo "make test          - tier-1 verification: full test + benchmark suite (pytest -x -q)"
 	@echo "make test-nochaos  - tier-1 minus the chaos suite (pytest -x -q -m 'not chaos'); make ci runs this plus make test-chaos, so the chaos suite runs once, under its watchdog"
 	@echo "make test-fast     - tests/ only, without the process-killing chaos suite (pytest tests -m 'not chaos')"
+	@echo "make test-decode   - the decode oracles only (paged-vs-naive equivalence, arena forks/copy-on-write, array-step float identity, precision, calibration): the inner loop for nn decode changes"
 	@echo "make test-streaming - streaming + corpus-QA equivalence suites only (chunk protocol, reassembly-equals-sync, differential retrieval)"
 	@echo "make test-chaos    - sharded-tier chaos suite only, bounded by a 900s watchdog (pytest -m chaos)"
 	@echo "make bench         - benchmarks/ only: paper tables I-XII, the design gates and the end-to-end smoke run, all at smoke scale"
@@ -38,6 +39,12 @@ test-nochaos:
 # processes and dominates tests/ wall-clock).
 test-fast:
 	PYTHONPATH=src $(PYTHON) -m pytest tests -q -m "not chaos"
+
+# The decode oracles: generate's paged drivers against the naive loops, the
+# arena's page bookkeeping, the array step's float identity, and the precision
+# and calibration suites that decode through it.
+test-decode:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/nn/test_decode_equivalence.py tests/nn/test_paged_arena.py tests/nn/test_paged_step_arrays.py tests/nn/test_precision.py tests/nn/test_calibration.py -q
 
 # The streaming contract end to end: chunk wire protocol, reassembly-equals-
 # sync properties, and the retrieval index's differential determinism.

@@ -114,7 +114,7 @@ def test_continuous_burst_outruns_static_batches(decode_model):
     burst = mixed_budget_rows(16 if PAPER else 8, np.random.default_rng(1))
 
     def static() -> None:
-        # FIFO batches, each decoded lock-step to its longest member's budget.
+        # FIFO batches, each a greedy generate call to its longest member's budget.
         for begin in range(0, len(burst), SLOTS):
             chunk = burst[begin : begin + SLOTS]
             width = max(budget for _, budget in chunk)
@@ -126,7 +126,7 @@ def test_continuous_burst_outruns_static_batches(decode_model):
 
     # Same useful tokens either way, so the time ratio is the tokens/sec ratio.
     static_s, continuous_s = fastest_of_three(static, continuous)
-    assert static_s / continuous_s >= 1.0  # measured 1.7-2x
+    assert static_s / continuous_s >= 1.0  # measured 2.0-2.4x (static batches on the same paged step)
 
 
 def open_loop_latencies(count: int, interval_s: float, answer) -> list[float]:

@@ -23,7 +23,7 @@ from repro.core.config import DataVisT5Config, precision_compute_dtype, validate
 from repro.errors import ModelConfigError
 from repro.nn.calibration import QuantPolicy, apply_policy, calibrate_policy
 from repro.nn.optim import Adam, LinearWarmupSchedule, clip_grad_norm
-from repro.nn.transformer import T5Model
+from repro.nn.transformer import T5Model, decode_budget
 
 #: Reserved ``weights.npz`` entry carrying the serialized :class:`QuantPolicy`.
 QUANT_POLICY_KEY = "__quant_policy__"
@@ -141,7 +141,7 @@ class DataVisT5:
             alpha=alpha,
             target_agreement=target_agreement,
             max_float_fraction=max_float_fraction,
-            max_length=max_length or self.config.max_decode_length,
+            max_length=decode_budget(max_length, self.config.max_decode_length),
         )
         self.quant_policy = policy
         self._calibration_stats = stats
@@ -266,8 +266,11 @@ class DataVisT5:
         default fast path) and the naive reference loop; both produce
         identical texts.  ``precision`` overrides the config's inference
         precision for this call (``"float64"`` / ``"float32"`` / ``"int8"``;
-        ``int8`` requires already-quantized weights).
+        ``int8`` requires already-quantized weights).  ``max_length=None``
+        means the config's ``max_decode_length``; a budget below 1 raises
+        :class:`ModelConfigError`.
         """
+        max_length = decode_budget(max_length, self.config.max_decode_length)
         if not sources:
             return []
         resolved = self.resolve_precision(precision)
@@ -278,7 +281,7 @@ class DataVisT5:
         input_ids = pad_sequences(encoded, self.tokenizer.vocab.pad_id, self.config.max_input_length)
         generated = self.model.generate(
             input_ids,
-            max_length=max_length or self.config.max_decode_length,
+            max_length=max_length,
             num_beams=num_beams,
             use_cache=use_cache,
             dtype=precision_compute_dtype(resolved),

@@ -10,11 +10,11 @@ package provides the pieces that stack supplies:
   activation statistics, SmoothQuant-style equalization, and mixed-precision
   :class:`~repro.nn.calibration.QuantPolicy` search;
 * :mod:`repro.nn.attention` -- multi-head attention with T5 relative
-  position biases and an optional K/V-cache fast path;
-* :mod:`repro.nn.decode_cache` -- per-layer key/value caches for
-  incremental decoding;
-* :mod:`repro.nn.transformer` -- a T5-style encoder--decoder LM with
-  KV-cached greedy and batched beam-search generation;
+  position biases and an array-level path for the paged decode step;
+* :mod:`repro.nn.decode_cache` -- the paged, refcounted key/value arena
+  incremental decoding keeps its history in;
+* :mod:`repro.nn.transformer` -- a T5-style encoder--decoder LM whose greedy
+  and beam-search generation run on one paged decode step;
 * :mod:`repro.nn.rnn` -- a GRU sequence-to-sequence model with attention
   (the Seq2Vis baseline);
 * :mod:`repro.nn.optim` -- Adam, gradient clipping and LR schedules.
@@ -26,7 +26,7 @@ objectives are the same shape as the paper's.
 
 from repro.nn.tensor import Tensor, autocast, compute_dtype, no_grad
 from repro.nn import functional
-from repro.nn.decode_cache import DecodeCache, KVState, LayerKVCache, PagedKVArena, PagedSequence
+from repro.nn.decode_cache import PagedKVArena, PagedSequence
 from repro.nn.layers import Module, Linear, Embedding, RMSNorm, Dropout, Parameter, asymmetric_int8, symmetric_int8
 from repro.nn.calibration import (
     ActivationObserver,
@@ -65,9 +65,6 @@ __all__ = [
     "sensitivity_scan",
     "token_agreement",
     "functional",
-    "DecodeCache",
-    "KVState",
-    "LayerKVCache",
     "PagedKVArena",
     "PagedSequence",
     "Module",

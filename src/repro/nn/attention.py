@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.errors import ModelConfigError
 from repro.nn import functional as F
-from repro.nn.decode_cache import KVState
 from repro.nn.layers import Dropout, Linear, Module, Parameter, cast_cached
 from repro.nn.tensor import Tensor, grad_enabled
 from repro.utils.rng import seeded_rng
@@ -129,54 +128,21 @@ class MultiHeadAttention(Module):
     def forward(
         self,
         query: Tensor,
-        key: Tensor | None,
-        value: Tensor | None,
+        key: Tensor,
+        value: Tensor,
         mask: np.ndarray | None = None,
         position_bias: Tensor | None = None,
         return_weights: bool = False,
-        kv_cache: KVState | None = None,
     ):
         """Attend ``query`` over ``key``/``value``.
 
         ``mask`` is a boolean *keep* mask broadcastable to
         ``(batch, 1, query_length, key_length)``; masked-out logits receive a
         large negative bias before the softmax.
-
-        ``kv_cache`` switches on the incremental-decode fast path: a static
-        cache (cross-attention) projects ``key``/``value`` once and reuses the
-        result on later steps — once warm, ``key``/``value`` may be ``None``
-        so callers need not materialize unused encoder states; a growing cache
-        (self-attention) projects only the tokens passed in and appends them,
-        then attends the query over the whole cached history.  Cached
-        attention is inference-only.
         """
         q = self._split_heads(self.q_proj(query))
-        if kv_cache is None:
-            k = self._split_heads(self.k_proj(key))
-            v = self._split_heads(self.v_proj(value))
-        else:
-            if grad_enabled():
-                raise ModelConfigError(
-                    "KV-cached attention is a decode-only fast path; run it under no_grad()"
-                )
-            if kv_cache.static:
-                if kv_cache.k is None:
-                    if key is None:
-                        raise ModelConfigError(
-                            "a cold static KV cache needs key/value to project from"
-                        )
-                    kv_cache.set(
-                        self._split_heads(self.k_proj(key)).numpy(),
-                        self._split_heads(self.v_proj(value)).numpy(),
-                    )
-            else:
-                kv_cache.append(
-                    self._split_heads(self.k_proj(key)).numpy(),
-                    self._split_heads(self.v_proj(value)).numpy(),
-                )
-            k = Tensor(kv_cache.k)
-            v = Tensor(kv_cache.v)
-
+        k = self._split_heads(self.k_proj(key))
+        v = self._split_heads(self.v_proj(value))
         scale = 1.0 / np.sqrt(self.head_dim)
         scores = (q @ k.swapaxes(-1, -2)) * scale
         if position_bias is not None:
@@ -194,8 +160,8 @@ class MultiHeadAttention(Module):
             return output, weights
         return output
 
-    # -- paged continuous-decode fast path ---------------------------------------------
-    # Continuous batching attends each sequence over its *own* exact-length
+    # -- paged decode fast path ----------------------------------------------------------
+    # The paged decode attends each sequence over its *own* exact-length
     # K/V history, because padding histories to a common length changes
     # numpy's pairwise-summation grouping and breaks bitwise equality with
     # the solo decode.  Rows whose histories have the *same* length stack:
@@ -203,11 +169,11 @@ class MultiHeadAttention(Module):
     # outer shape, so a stacked bucket is bitwise the per-row loop.
 
     def project_static_kv(self, states: Tensor) -> tuple[np.ndarray, np.ndarray]:
-        """Project encoder ``states`` into the split-head K/V a warm cross cache holds.
+        """Project encoder ``states`` into split-head ``(batch, heads, source, head_dim)`` K/V arrays.
 
-        Bitwise the same arrays :meth:`forward` writes into a cold static
-        :class:`~repro.nn.decode_cache.KVState` — continuous batching calls
-        this once per admitted sequence and stores the result beside its page
+        Bitwise the keys and values :meth:`forward` attends over for these
+        states.  The paged decode projects cross-attention K/V once per
+        encoder pass with this and keeps each row's slice beside its page
         table.  Decode-only.
         """
         if grad_enabled():

@@ -1,34 +1,26 @@
-"""Key/value caches for incremental (single-step) decoding.
+"""Paged key/value memory for incremental (single-step) decoding.
 
 Autoregressive generation re-runs the decoder once per emitted token.  Without
 caching, every step re-projects and re-attends the entire prefix, so decoding
-``L`` tokens costs ``O(L^2)`` decoder passes worth of work.  The caches here
-make each step's decoder work independent of the prefix length:
+``L`` tokens costs ``O(L^2)`` decoder passes worth of work.  With a cache a
+step projects only the newest token: self-attention K/V of every decoded
+position is kept per layer, and cross-attention K/V over the encoder output
+is projected once per sequence and reused verbatim (it never changes).
 
-* **self-attention** — the projected K/V of every already-decoded position is
-  stored per layer; a step projects only the newest token and appends it
-  (amortized O(1): appends land in a geometrically grown buffer, not a
-  re-concatenated array);
-* **cross-attention** — K/V over the encoder output never changes during
-  decoding, so it is projected once on the first step and reused verbatim.
+The self-attention history lives here.  :class:`PagedKVArena` is a shared
+pool of fixed-size K/V pages per decoder layer with a free list, so a
+finished sequence's pages are reusable at once and sequences join and leave
+a live batch without copying survivors; :class:`PagedSequence` is one
+sequence's page table over the arena.  Pages are refcounted:
+:meth:`PagedSequence.fork` copies a page table (beam search forks a
+hypothesis this way), and the first write into a shared page copies that
+page first, so a fork never aliases its parent.  See ``docs/decoding.md``
+for the layout.
 
-The caches store raw numpy arrays (shape ``(batch, heads, length,
-head_dim)``) rather than autograd tensors: incremental decoding is an
-inference-only fast path and always runs under :func:`repro.nn.tensor.no_grad`.
-Buffers adopt the dtype of the first projected K/V they receive, so a decode
-running under ``autocast("float32")`` caches float32 throughout; mixing
-dtypes within one cache is rejected (each generation owns a fresh cache, so
-a mix can only mean the precision policy changed mid-decode).
-:meth:`DecodeCache.reorder` re-gathers the batch axis, which is what batched
-beam search uses to carry each surviving beam's prefix forward.
-
-For token-level continuous batching the monolithic per-batch buffers are the
-wrong shape: sequences join and leave the batch at every step, so per-slot
-memory must be recyclable in O(1) without copying survivors.
-:class:`PagedKVArena` provides that — a shared pool of fixed-size K/V pages
-per decoder layer, with a free list so a finished sequence's pages are
-immediately reusable — and :class:`PagedSequence` is one sequence's page
-table over the arena (see ``docs/decoding.md`` for the layout).
+Pages hold raw numpy arrays, not autograd tensors (decoding is
+inference-only), in the dtype of the first K/V written: a decode under
+``autocast("float32")`` caches float32, and a later write in another dtype
+means the precision changed mid-decode, so it raises.
 """
 
 from __future__ import annotations
@@ -42,160 +34,18 @@ from repro.obs.names import METRIC_ARENA_PAGE_REUSE_RATIO, METRIC_ARENA_PAGES_IN
 _PAGES_IN_USE = obs.METRICS.gauge(METRIC_ARENA_PAGES_IN_USE)
 _PAGE_REUSE_RATIO = obs.METRICS.gauge(METRIC_ARENA_PAGE_REUSE_RATIO)
 
-_INITIAL_CAPACITY = 16
-
 
 def _check_kv_pair(k: np.ndarray, v: np.ndarray) -> None:
     """Reject a k/v pair whose dtypes or shapes disagree.
 
     Keys and values are projected from the same hidden states, so any
     disagreement means the caller mixed tensors from different steps or
-    precision scopes — silently casting (the old behaviour for ``v``) would
-    hide the bug until outputs diverge.
+    precision scopes; silently casting would hide the bug.
     """
     if k.dtype != v.dtype:
         raise ModelConfigError(f"k/v dtype mismatch: keys are {k.dtype}, values are {v.dtype}")
     if k.shape != v.shape:
         raise ModelConfigError(f"k/v shape mismatch: keys are {k.shape}, values are {v.shape}")
-
-
-class KVState:
-    """The cached key/value arrays of one attention module.
-
-    ``static`` marks cross-attention state: it is written once (from the
-    encoder output) and then reused, whereas non-static (self-attention)
-    state grows by one step per :meth:`append`.  ``k``/``v`` expose the live
-    ``(batch, heads, length, head_dim)`` slice; appends write into an
-    over-allocated buffer that doubles when full, so growing the cache does
-    not re-copy the whole history every step.
-    """
-
-    __slots__ = ("static", "_buffer_k", "_buffer_v", "_length")
-
-    def __init__(self, static: bool = False):
-        self.static = static
-        self._buffer_k: np.ndarray | None = None
-        self._buffer_v: np.ndarray | None = None
-        self._length = 0
-
-    @property
-    def k(self) -> np.ndarray | None:
-        """The live keys (``None`` when empty); a view, not a copy."""
-        return None if self._buffer_k is None else self._buffer_k[:, :, : self._length]
-
-    @property
-    def v(self) -> np.ndarray | None:
-        """The live values (``None`` when empty); a view, not a copy."""
-        return None if self._buffer_v is None else self._buffer_v[:, :, : self._length]
-
-    @property
-    def length(self) -> int:
-        """Number of cached key positions (0 when empty)."""
-        return self._length
-
-    def set(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Store projected K/V wholesale (the cross-attention write path)."""
-        _check_kv_pair(k, v)
-        self._buffer_k = k
-        self._buffer_v = v
-        self._length = int(k.shape[2])
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Grow the cache along the sequence axis (the self-attention write path)."""
-        if self.static:
-            raise ModelConfigError("append() is only valid on non-static (self-attention) KV state")
-        _check_kv_pair(k, v)
-        steps = int(k.shape[2])
-        new_length = self._length + steps
-        if self._buffer_k is not None and self._buffer_k.dtype != k.dtype:
-            raise ModelConfigError(
-                f"KV cache holds {self._buffer_k.dtype} but received {k.dtype}; "
-                "the compute dtype must stay fixed for the lifetime of one decode"
-            )
-        if self._buffer_k is None or new_length > self._buffer_k.shape[2]:
-            capacity = max(_INITIAL_CAPACITY, new_length)
-            if self._buffer_k is not None:
-                capacity = max(capacity, 2 * self._buffer_k.shape[2])
-            shape = (k.shape[0], k.shape[1], capacity, k.shape[3])
-            grown_k = np.empty(shape, dtype=k.dtype)
-            grown_v = np.empty(shape, dtype=k.dtype)
-            if self._length:
-                grown_k[:, :, : self._length] = self._buffer_k[:, :, : self._length]
-                grown_v[:, :, : self._length] = self._buffer_v[:, :, : self._length]
-            self._buffer_k, self._buffer_v = grown_k, grown_v
-        self._buffer_k[:, :, self._length : new_length] = k
-        self._buffer_v[:, :, self._length : new_length] = v
-        self._length = new_length
-
-    def reorder(self, indices: np.ndarray) -> None:
-        """Gather the batch axis by ``indices`` (beam-search reordering).
-
-        Only the live positions are copied (fancy indexing on the sliced view
-        yields a fresh contiguous array); unused buffer capacity is dropped
-        and re-grown by the next :meth:`append` if needed.
-        """
-        if self._buffer_k is not None:
-            self._buffer_k = self._buffer_k[:, :, : self._length][indices]
-            self._buffer_v = self._buffer_v[:, :, : self._length][indices]
-
-
-class LayerKVCache:
-    """The per-decoder-layer pair of caches: growing self-K/V, static cross-K/V."""
-
-    __slots__ = ("self_attention", "cross_attention")
-
-    def __init__(self):
-        self.self_attention = KVState(static=False)
-        self.cross_attention = KVState(static=True)
-
-    def reorder(self, indices: np.ndarray) -> None:
-        """Gather both caches' batch axes by ``indices``."""
-        self.self_attention.reorder(indices)
-        self.cross_attention.reorder(indices)
-
-
-class DecodeCache:
-    """All decoder-layer K/V caches for one in-flight generation.
-
-    Create one per ``generate`` call, pass it to every decoder step, and the
-    decoder feeds each layer only the newest token(s); ``length`` tracks how
-    many target positions are already cached so position biases and causal
-    masks can be offset correctly.
-    """
-
-    def __init__(self, num_layers: int):
-        if num_layers < 1:
-            raise ModelConfigError("DecodeCache needs at least one decoder layer")
-        self.layers = [LayerKVCache() for _ in range(num_layers)]
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    @property
-    def length(self) -> int:
-        """Number of already-decoded (cached) target positions."""
-        return self.layers[0].self_attention.length
-
-    @property
-    def batch_size(self) -> int | None:
-        """Batch rows currently cached (``None`` before the first step)."""
-        state = self.layers[0].self_attention
-        return None if state.k is None else int(state.k.shape[0])
-
-    def reorder(self, indices) -> None:
-        """Gather every layer's batch axis by ``indices``.
-
-        Beam search calls this between steps so that row ``i`` of the cache
-        holds the prefix of the ``i``-th surviving beam; indices may repeat
-        (one parent beam expanding into several children) or drop rows
-        (finished beams leaving the batch).
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        batch = self.batch_size
-        if batch is not None and indices.shape[0] == batch and np.array_equal(indices, np.arange(batch)):
-            return  # identity gather — common once beams stabilize
-        for layer in self.layers:
-            layer.reorder(indices)
 
 
 class PagedKVArena:
@@ -211,9 +61,10 @@ class PagedKVArena:
     grow by doubling when the free list runs dry, so total memory tracks the
     high-water mark of *tokens in flight*, not ``max_length × batch``.
 
-    Like :class:`KVState`, the arena adopts the dtype of the first K/V it
-    receives and rejects mixes (a mix means the precision policy changed
-    while sequences were in flight).
+    Each live page carries a reference count: the number of page tables that
+    hold it.  A :meth:`PagedSequence.fork` shares its parent's pages, and a
+    page returns to the free list when its last holder releases it.  The
+    pools take the dtype of the first write; any other dtype after is rejected.
     """
 
     def __init__(self, num_layers: int, num_heads: int, head_dim: int, page_size: int = 16, initial_pages: int = 8):
@@ -233,8 +84,8 @@ class PagedKVArena:
         self._pool_k: list[np.ndarray] | None = None
         self._pool_v: list[np.ndarray] | None = None
         self._free: list[int] = []
+        self._refs: dict[int, int] = {}  # live page id -> page tables holding it
         self._num_pages = 0
-        self._pages_in_use = 0
         self._high_water = 0
         self._fresh_allocations = 0
         self._page_reuses = 0
@@ -254,8 +105,8 @@ class PagedKVArena:
 
     @property
     def pages_in_use(self) -> int:
-        """Pages currently owned by live sequences."""
-        return self._pages_in_use
+        """Pages currently held by live sequences (a shared page counts once)."""
+        return len(self._refs)
 
     def sequence(self) -> "PagedSequence":
         """Open a new empty sequence over this arena."""
@@ -276,7 +127,7 @@ class PagedKVArena:
         return {
             "page_size": self.page_size,
             "num_pages": self._num_pages,
-            "pages_in_use": self._pages_in_use,
+            "pages_in_use": len(self._refs),
             "pages_high_water": self._high_water,
             "fresh_allocations": self._fresh_allocations,
             "page_reuses": self._page_reuses,
@@ -293,7 +144,7 @@ class PagedKVArena:
         fresh_allocations)`` — how often an allocation was served by the
         free list rather than first-touch pool memory.
         """
-        _PAGES_IN_USE.set(float(self._pages_in_use))
+        _PAGES_IN_USE.set(float(len(self._refs)))
         allocations = self._page_reuses + self._fresh_allocations
         if allocations:
             _PAGE_REUSE_RATIO.set(self._page_reuses / allocations)
@@ -303,8 +154,8 @@ class PagedKVArena:
 
         One fancy index over the pool serves the whole bucket — a copy, like
         :meth:`PagedSequence.view` (which is the one-row case), laid out per
-        row exactly as the contiguous caches are so attention runs the same
-        inner kernel per ``(row, head)``.
+        row as one contiguous history so attention runs the same inner kernel
+        per ``(row, head)`` whatever shares the bucket.
         """
         length = sequences[0]._lengths[layer]
         positions = np.arange(length)
@@ -320,6 +171,24 @@ class PagedKVArena:
             self._pool_k[layer].reshape(-1, self.num_heads, self.head_dim)[index],
             self._pool_v[layer].reshape(-1, self.num_heads, self.head_dim)[index],
         )
+
+    def append_rows(self, layer: int, sequences: "list[PagedSequence]", k: np.ndarray, v: np.ndarray) -> None:
+        """Write one new position per sequence for ``layer``: row ``i`` of ``k``/``v`` goes to ``sequences[i]``.
+
+        ``k``/``v`` are the ``(rows, heads, 1, head_dim)`` projections of one
+        decode step.  Page bookkeeping (allocation, copy-on-write) runs per
+        sequence; the write itself is one fancy-index assignment per pool.
+        """
+        _check_kv_pair(k, v)
+        if k.shape != (len(sequences), self.num_heads, 1, self.head_dim):
+            raise ModelConfigError(
+                f"K/V geometry {k.shape} does not match {len(sequences)} rows of the arena's "
+                f"(1, {self.num_heads}, 1, {self.head_dim})"
+            )
+        self._adopt(k.dtype)
+        slots = [sequence._reserve(layer) for sequence in sequences]
+        self._pool_k[layer].reshape(-1, self.num_heads, self.head_dim)[slots] = k[:, :, 0]
+        self._pool_v[layer].reshape(-1, self.num_heads, self.head_dim)[slots] = v[:, :, 0]
 
     # -- page bookkeeping (driven by PagedSequence) ------------------------------------
     def _materialize(self, dtype: np.dtype) -> None:
@@ -338,7 +207,8 @@ class PagedKVArena:
         self._free.extend(range(self._num_pages + grown - 1, self._num_pages - 1, -1))
         self._num_pages += grown
 
-    def _allocate_page(self, dtype: np.dtype) -> int:
+    def _adopt(self, dtype: np.dtype) -> None:
+        """Fix the pool dtype on the first write; reject any other dtype after."""
         if self._pool_k is None:
             self._materialize(dtype)
         elif self._pool_k[0].dtype != dtype:
@@ -346,6 +216,8 @@ class PagedKVArena:
                 f"KV arena holds {self._pool_k[0].dtype} but received {dtype}; "
                 "the compute dtype must stay fixed while sequences are in flight"
             )
+
+    def _allocate_page(self) -> int:
         if not self._free:
             self._grow()
         page = self._free.pop()
@@ -354,13 +226,25 @@ class PagedKVArena:
         else:
             self._fresh_allocations += 1
             self._ever_used.add(page)
-        self._pages_in_use += 1
-        self._high_water = max(self._high_water, self._pages_in_use)
+        self._refs[page] = 1
+        self._high_water = max(self._high_water, len(self._refs))
         return page
 
+    def _copy_page(self, page: int) -> int:
+        """A private copy of shared ``page`` (every layer), taking one reference off the original."""
+        copy = self._allocate_page()
+        for pools in (self._pool_k, self._pool_v):
+            for pool in pools:
+                pool[copy] = pool[page]
+        self._refs[page] -= 1
+        return copy
+
     def _release_pages(self, pages: list[int]) -> None:
-        self._free.extend(reversed(pages))
-        self._pages_in_use -= len(pages)
+        for page in reversed(pages):
+            self._refs[page] -= 1
+            if not self._refs[page]:
+                del self._refs[page]
+                self._free.append(page)
 
 
 class PagedSequence:
@@ -368,13 +252,18 @@ class PagedSequence:
 
     The sequence owns a page table (a list of arena page ids, shared across
     layers — see :class:`PagedKVArena`) plus a per-layer length.  Each decoder
-    step :meth:`append`\\ s the newest token's projected K/V for every layer;
+    step appends the newest token's projected K/V for every layer;
     a page is allocated lazily when the first write crosses into it.
+    :meth:`fork` opens a second sequence over the same pages (the page table
+    is copied, the pages are shared); a write that lands in a page another
+    table still holds copies that page first, so only a partly filled tail
+    page is ever copied, by whichever holder writes into it first.
     :meth:`view` gathers the live positions of one layer back into a dense
     ``(1, heads, length, head_dim)`` pair for attention — a copy, so released
     pages being overwritten by another sequence can never alias an in-flight
-    read.  :meth:`release` returns every page to the arena's free list;
-    a released sequence rejects further use.
+    read.  :meth:`release` drops the sequence's hold on every page (pages no
+    other table holds return to the free list); a released sequence rejects
+    further use.
     """
 
     __slots__ = ("arena", "pages", "_lengths", "_released")
@@ -395,36 +284,38 @@ class PagedSequence:
         """Whether the sequence's pages have been returned to the arena."""
         return self._released
 
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Write the newest step's projected K/V for ``layer``.
+    def fork(self) -> "PagedSequence":
+        """A new sequence with this one's history, sharing its pages until either writes."""
+        if self._released:
+            raise ModelConfigError("PagedSequence was released; its pages belong to the arena again")
+        child = self.arena.sequence()
+        child.pages = list(self.pages)
+        child._lengths = list(self._lengths)
+        for page in self.pages:
+            self.arena._refs[page] += 1
+        return child
 
-        ``k``/``v`` are ``(1, heads, steps, head_dim)``, exactly what one
-        attention module projects for one sequence's new tokens.
+    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Write the newest position's ``(1, heads, 1, head_dim)`` projected K/V for ``layer``."""
+        self.arena.append_rows(layer, [self], k, v)
+
+    def _reserve(self, layer: int) -> int:
+        """Make ``layer``'s next position writable and count it; returns its pool slot.
+
+        A page another table still holds is copied first (copy-on-write) and
+        a missing page is allocated; either may grow the pools, so callers
+        read a pool only after this returns.
         """
         if self._released:
             raise ModelConfigError("PagedSequence was released; its pages belong to the arena again")
-        _check_kv_pair(k, v)
-        if k.ndim != 4 or k.shape[0] != 1 or k.shape[1] != self.arena.num_heads or k.shape[3] != self.arena.head_dim:
-            raise ModelConfigError(
-                f"K/V geometry {k.shape} does not match the arena's "
-                f"(1, {self.arena.num_heads}, steps, {self.arena.head_dim})"
-            )
-        k = k[0].transpose(1, 0, 2)  # (steps, heads, head_dim)
-        v = v[0].transpose(1, 0, 2)
         position = self._lengths[layer]
-        steps = k.shape[0]
-        page_size = self.arena.page_size
-        needed = -(-(position + steps) // page_size)  # ceil division
-        while len(self.pages) < needed:
-            self.pages.append(self.arena._allocate_page(k.dtype))
-        pool_k = self.arena._pool_k[layer]
-        pool_v = self.arena._pool_v[layer]
-        for step in range(steps):
-            page = self.pages[(position + step) // page_size]
-            offset = (position + step) % page_size
-            pool_k[page, offset] = k[step]
-            pool_v[page, offset] = v[step]
-        self._lengths[layer] = position + steps
+        index, offset = divmod(position, self.arena.page_size)
+        if index == len(self.pages):
+            self.pages.append(self.arena._allocate_page())
+        elif self.arena._refs[self.pages[index]] > 1:  # copy-on-write
+            self.pages[index] = self.arena._copy_page(self.pages[index])
+        self._lengths[layer] = position + 1
+        return self.pages[index] * self.arena.page_size + offset
 
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Gather ``layer``'s live K/V as dense ``(1, heads, length, head_dim)`` copies."""
@@ -435,7 +326,7 @@ class PagedSequence:
         return self.arena.gather(layer, [self])
 
     def release(self) -> None:
-        """Return every page to the arena (idempotent); the sequence is dead after."""
+        """Drop this sequence's hold on its pages (idempotent); the sequence is dead after."""
         if not self._released:
             self.arena._release_pages(self.pages)
             self.arena._sequences_released += 1

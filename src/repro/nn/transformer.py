@@ -6,11 +6,15 @@ and a decoder fed with the target sequence shifted right by one position.
 Model sizes are configurable through :class:`TransformerConfig`; the defaults
 are tiny so the reproduction trains in CPU-seconds.
 
-Generation decodes incrementally with per-layer K/V caches
-(:mod:`repro.nn.decode_cache`) and a fully batched beam search; the naive
-loops that re-decode the whole prefix every step are retained behind
-``use_cache=False`` as the reference implementation the decode-equivalence
-test suite checks against.
+Generation has two drivers over one decode step.  :class:`PagedDecodeBatch`
+keeps each sequence's self-attention K/V in a shared
+:class:`~repro.nn.decode_cache.PagedKVArena` and advances every live row by
+one token on plain arrays.  Greedy :meth:`T5Model.generate` admits every row
+at step 0 and steps until all finish; beam search forks a hypothesis by
+copying its page table.  The serving tier's continuous batching drives the
+same step (:mod:`repro.serving.continuous`).  The naive loops that re-decode
+the whole prefix every step are kept behind ``use_cache=False`` as the
+reference the decode-equivalence suites check against.
 
 Inference precision is a :meth:`T5Model.generate` knob: ``dtype="float32"``
 runs the whole decode (encoder pass included) under
@@ -22,6 +26,7 @@ Training always stays float64 — see ``docs/numerics.md``.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +34,7 @@ import numpy as np
 from repro.errors import ModelConfigError
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadAttention, RelativePositionBias
-from repro.nn.decode_cache import DecodeCache, LayerKVCache, PagedKVArena, PagedSequence
+from repro.nn.decode_cache import PagedKVArena, PagedSequence
 from repro.nn.layers import Dropout, Embedding, FeedForward, Module, RMSNorm, cast_cached
 from repro.nn.tensor import Tensor, autocast, compute_dtype, no_grad
 from repro.utils.rng import derive_seed, seeded_rng
@@ -106,22 +111,17 @@ class DecoderLayer(Module):
     def forward(
         self,
         hidden: Tensor,
-        encoder_hidden: Tensor | None,
+        encoder_hidden: Tensor,
         self_mask: np.ndarray | None,
         cross_mask: np.ndarray | None,
         position_bias: Tensor | None,
-        layer_cache: LayerKVCache | None = None,
     ) -> Tensor:
         """Causal self-attention, cross-attention and feed-forward, pre-norm residuals throughout."""
-        self_cache = layer_cache.self_attention if layer_cache is not None else None
-        cross_cache = layer_cache.cross_attention if layer_cache is not None else None
         normed = self.norm_self(hidden)
-        attended = self.self_attention(
-            normed, normed, normed, mask=self_mask, position_bias=position_bias, kv_cache=self_cache
-        )
+        attended = self.self_attention(normed, normed, normed, mask=self_mask, position_bias=position_bias)
         hidden = hidden + self.dropout(attended)
         normed = self.norm_cross(hidden)
-        cross = self.cross_attention(normed, encoder_hidden, encoder_hidden, mask=cross_mask, kv_cache=cross_cache)
+        cross = self.cross_attention(normed, encoder_hidden, encoder_hidden, mask=cross_mask)
         hidden = hidden + self.dropout(cross)
         normed = self.norm_feed_forward(hidden)
         hidden = hidden + self.dropout(self.feed_forward(normed))
@@ -181,54 +181,34 @@ class TransformerDecoder(Module):
     def forward(
         self,
         decoder_input_ids: np.ndarray,
-        encoder_hidden: Tensor | None,
+        encoder_hidden: Tensor,
         encoder_attention_mask: np.ndarray | None = None,
         decoder_attention_mask: np.ndarray | None = None,
-        cache: DecodeCache | None = None,
     ) -> Tensor:
-        """Decode ``decoder_input_ids`` (the full target prefix, or — with a
-        ``cache`` — only the not-yet-cached newest tokens).
-
-        With a cache, position biases and the causal mask are offset by the
-        cached length, self-attention K/V of the new tokens is appended to the
-        cache, and cross-attention K/V is computed once and reused — after the
-        first cached step ``encoder_hidden`` may be ``None``; a provided
-        ``decoder_attention_mask`` must cover cached plus new positions.
-        """
+        """Decode the full target prefix ``decoder_input_ids`` under a causal mask."""
         decoder_input_ids = np.asarray(decoder_input_ids, dtype=np.int64)
         batch, length = decoder_input_ids.shape
-        offset = 0
-        layer_caches: list[LayerKVCache | None] = [None] * len(self.layers)
-        if cache is not None:
-            if len(cache) != len(self.layers):
-                raise ModelConfigError(
-                    f"DecodeCache has {len(cache)} layers, decoder has {len(self.layers)}"
-                )
-            offset = cache.length
-            layer_caches = list(cache.layers)
-        key_length = offset + length
         hidden = self.dropout(self.embedding(decoder_input_ids))
-        bias = self.position_bias(length, key_length, query_offset=offset)
+        bias = self.position_bias(length, length)
 
         if decoder_attention_mask is not None:
-            causal = F.causal_mask(length, key_length)[None, :, :]  # (1, T, offset + T)
+            causal = F.causal_mask(length, length)[None, :, :]  # (1, T, T)
             pad_keep = np.asarray(decoder_attention_mask, dtype=bool)[:, None, :]
             self_mask = causal & pad_keep
         elif length == 1:
-            # A single new token attends the entire cached prefix plus itself:
-            # the causal row is all-True, so masking would be a no-op.
+            # A lone token attends only itself, so masking would be a no-op.
             self_mask = None
         else:
-            causal = F.causal_mask(length, key_length)[None, :, :]
-            self_mask = np.broadcast_to(causal, (batch, length, key_length))
+            causal = F.causal_mask(length, length)[None, :, :]
+            self_mask = np.broadcast_to(causal, (batch, length, length))
 
         if encoder_attention_mask is not None:
             cross_mask = np.asarray(encoder_attention_mask, dtype=bool)[:, None, :]
         else:
             cross_mask = None
 
-        for layer, layer_cache in zip(self.layers, layer_caches):
-            hidden = layer(hidden, encoder_hidden, self_mask, cross_mask, bias, layer_cache=layer_cache)
+        for layer in self.layers:
+            hidden = layer(hidden, encoder_hidden, self_mask, cross_mask, bias)
         return self.final_norm(hidden)
 
 
@@ -322,34 +302,41 @@ class T5Model(Module):
         shape ``(batch, L)`` where ``L <= max_length`` is the length of the
         longest generated sequence in the batch (including its EOS token,
         excluding BOS); shorter rows are right-padded with ``pad_id``.
+        ``max_length=None`` means the config's ``max_decode_length``; a budget
+        below 1 raises :class:`ModelConfigError`.
 
-        ``use_cache=True`` (the default) decodes incrementally with per-layer
-        K/V caches and — for beam search — expands all beams of all batch rows
-        in one forward pass per step.  ``use_cache=False`` runs the naive
-        reference loops that re-decode the full prefix every step; both paths
-        produce identical token ids (the decode-equivalence suite asserts it).
+        ``use_cache=True`` (the default) decodes on :class:`PagedDecodeBatch`:
+        one encoder pass for the batch, then one array-level step per token
+        for every live row or beam hypothesis.  ``use_cache=False`` runs the
+        naive reference loops that re-decode the full prefix every step.  Both
+        produce identical token ids (the decode-equivalence suites assert it).
+
+        Decoding is inference whatever the module mode: a model in training
+        mode decodes exactly as in eval mode (dropout off) on both paths, and
+        is back in training mode when the call returns.
 
         ``dtype`` selects the inference compute dtype (``"float64"`` or
         ``"float32"``); the whole generation — encoder pass, decode steps, KV
-        caches — runs under :func:`repro.nn.tensor.autocast` with it.
+        pages — runs under :func:`repro.nn.tensor.autocast` with it.
         Reduced precision can flip near-tied argmax decisions, so fp32 output
         agrees with fp64 to a high but not bitwise rate; the precision tests
         gate it (see ``docs/numerics.md``).
         """
         input_ids = np.atleast_2d(np.asarray(input_ids, dtype=np.int64))
-        max_length = max_length or self.config.max_decode_length
-        with autocast(dtype):
-            if num_beams <= 1:
-                if use_cache:
-                    return self._greedy_generate_cached(input_ids, max_length)
-                return self._greedy_generate_reference(input_ids, max_length)
+        max_length = decode_budget(max_length, self.config.max_decode_length)
+        with _eval_mode(self):
             if use_cache:
-                rows = self._beam_generate_cached(input_ids, max_length, num_beams, length_penalty)
+                if num_beams <= 1:
+                    return self._greedy_generate_paged(input_ids, max_length, dtype)
+                rows = self._beam_generate_paged(input_ids, max_length, num_beams, length_penalty, dtype)
             else:
-                rows = [
-                    self._beam_generate_reference(row[None, :], max_length, num_beams, length_penalty)
-                    for row in input_ids
-                ]
+                with autocast(dtype):
+                    if num_beams <= 1:
+                        return self._greedy_generate_reference(input_ids, max_length)
+                    rows = [
+                        self._beam_generate_reference(row[None, :], max_length, num_beams, length_penalty)
+                        for row in input_ids
+                    ]
         return _pad_token_rows(rows, self.config.pad_id)
 
     def paged_decode_batch(
@@ -367,123 +354,92 @@ class T5Model(Module):
         """
         return PagedDecodeBatch(self, max_slots=max_slots, page_size=page_size, dtype=dtype)
 
-    def _log_probs(self, logits: np.ndarray) -> np.ndarray:
-        """Log-softmax of one vocabulary row; shared by both beam paths so the
-        cached and reference implementations run the exact same float ops."""
-        log_probs = logits - logits.max()
-        return log_probs - np.log(np.exp(log_probs).sum())
+    def _expand_beams(self, beams: list, logits_of, num_beams: int, length_penalty: float) -> tuple[list, list]:
+        """One beam-search step of one row, shared by both beam paths.
 
-    # -- cached fast paths -------------------------------------------------------
-    def _greedy_generate_cached(self, input_ids: np.ndarray, max_length: int) -> np.ndarray:
-        """Incremental greedy decoding: each step feeds only the newest token.
+        Each live hypothesis ``(tokens, score, done)`` of ``beams`` grows by
+        its top ``num_beams`` tokens under ``logits_of(b)``, its next-token
+        logits; finished ones carry over.  Returns the best ``num_beams``
+        candidates (stable order) and, per candidate, the index of the
+        hypothesis it grew from (``None`` for a carried-over one).
+        """
+        eos, candidates, parents = self.config.eos_id, [], []
+        for b, (tokens, score, done) in enumerate(beams):
+            if done:
+                candidates.append((tokens, score, True))
+                parents.append(None)
+                continue
+            logits = logits_of(b)
+            log_probs = logits - logits.max()
+            log_probs = log_probs - np.log(np.exp(log_probs).sum())
+            for token in np.argsort(log_probs)[::-1][:num_beams].tolist():
+                candidates.append((tokens + [token], score + float(log_probs[token]), token == eos))
+                parents.append(b)
+        keys = [score / (max(len(tokens) - 1, 1) ** length_penalty) for tokens, score, _ in candidates]
+        order = sorted(range(len(candidates)), key=keys.__getitem__, reverse=True)[:num_beams]
+        return [candidates[i] for i in order], [parents[i] for i in order]
 
-        Rows that emit EOS are *evicted* from the live batch (a
-        :meth:`DecodeCache.reorder` gather, like beam search shrinking), so
-        later steps only pay for unfinished rows — previously finished rows
-        kept riding along, burning a full decoder step each on pad tokens.
-        Because every per-row computation is independent of which other rows
-        share the batch, eviction leaves the surviving rows' outputs
-        bitwise-identical (the decode-equivalence suite asserts it).
+    # -- paged drivers -----------------------------------------------------------
+    def _greedy_generate_paged(self, input_ids: np.ndarray, max_length: int, dtype: str) -> np.ndarray:
+        """Greedy decode on the paged step: every row joins at step 0 and the
+        batch steps until all rows finish; a finished row leaves at once."""
+        paged = PagedDecodeBatch(self, max_slots=max(1, input_ids.shape[0]), dtype=dtype)
+        try:
+            handles = [paged._join(*cross, max_length).handle for cross in paged._encode(input_ids)]
+            finished: dict[int, list[int]] = {}
+            while paged.active_count:
+                finished.update(paged.step())
+        finally:
+            paged.close()
+        return _pad_token_rows([finished[handle] for handle in handles], self.config.pad_id)
+
+    def _beam_generate_paged(
+        self, input_ids: np.ndarray, max_length: int, num_beams: int, length_penalty: float, dtype: str
+    ) -> list[list[int]]:
+        """Batched beam search on the paged step.
+
+        One pass per step expands every live hypothesis of every batch row,
+        then each row selects as the reference does.  A surviving hypothesis
+        forks its parent's page table, so siblings share their prefix pages
+        and each copies only the tail page it writes into.  Hypothesis ``b``
+        of row ``r`` keeps one slot while it lives, so the row's stacked
+        cross K/V is rebuilt only when a beam is born or finishes.
         """
         batch = input_ids.shape[0]
-        attention_mask = input_ids != self.config.pad_id
-        with no_grad():
-            encoder_hidden = self.encoder(input_ids, attention_mask)
-            cache = DecodeCache(len(self.decoder.layers))
-            rows: list[list[int]] = [[] for _ in range(batch)]
-            active = np.arange(batch)
-            live_mask = attention_mask
-            encoder_states: Tensor | None = encoder_hidden
-            step_tokens = np.full((batch, 1), self.config.bos_id, dtype=np.int64)
+        paged = PagedDecodeBatch(self, max_slots=max(1, batch * num_beams), dtype=dtype)
+        try:
+            crosses = paged._encode(input_ids)
+            beams = [[([self.config.bos_id], 0.0, False)] for _ in range(batch)]
+            # live[(r, b)] is the slot decoding hypothesis b of row r.
+            live = {(r, 0): paged._join(*crosses[r], max_length) for r in range(batch)}
             for _ in range(max_length):
-                decoder_hidden = self.decoder(step_tokens, encoder_states, live_mask, cache=cache)
-                logits = self.lm_logits(decoder_hidden).numpy()[:, -1, :]
-                next_tokens = logits.argmax(axis=-1)
-                for position, row in enumerate(active):
-                    rows[row].append(int(next_tokens[position]))
-                keep = next_tokens != self.config.eos_id
-                if not keep.any():
+                if not live:
                     break
-                if not keep.all():
-                    survivors = np.flatnonzero(keep)
-                    cache.reorder(survivors)
-                    live_mask = live_mask[survivors]
-                    active = active[survivors]
-                    next_tokens = next_tokens[survivors]
-                # The cross cache is warm after the first step; later steps
-                # skip materializing encoder states they would ignore.
-                encoder_states = None
-                step_tokens = next_tokens[:, None]
-        width = max((len(row) for row in rows), default=0)
-        sequences = np.full((batch, width), self.config.pad_id, dtype=np.int64)
-        for index, row in enumerate(rows):
-            sequences[index, : len(row)] = row
-        return sequences
-
-    def _beam_generate_cached(
-        self, input_ids: np.ndarray, max_length: int, num_beams: int, length_penalty: float
-    ) -> list[list[int]]:
-        """Batched beam search: one cached forward pass expands every live beam
-        of every batch row, then per-row candidate selection replicates the
-        reference semantics (same expansion order, same stable sort)."""
-        batch = input_ids.shape[0]
-        attention_mask = input_ids != self.config.pad_id
-        with no_grad():
-            encoder_hidden = self.encoder(input_ids, attention_mask).numpy()
-            # rows[r] is the beam list of batch row r: (tokens, score, done),
-            # kept sorted exactly as the reference implementation keeps it.
-            rows: list[list[tuple[list[int], float, bool]]] = [
-                [([self.config.bos_id], 0.0, False)] for _ in range(batch)
-            ]
-            cache = DecodeCache(len(self.decoder.layers))
-            # Flat layout of the upcoming forward pass: one entry per live beam.
-            active: list[tuple[int, int]] = [(r, 0) for r in range(batch)]
-            for _ in range(max_length):
-                if not active:
-                    break
-                flat_of = {entry: flat for flat, entry in enumerate(active)}
-                row_index = np.fromiter((r for r, _ in active), dtype=np.int64)
-                step_tokens = np.asarray([[rows[r][b][0][-1]] for r, b in active], dtype=np.int64)
-                # The cross-attention cache is warm after the first step, so
-                # later steps skip gathering encoder states they would ignore.
-                encoder_states = Tensor(encoder_hidden[row_index]) if cache.length == 0 else None
-                decoder_hidden = self.decoder(
-                    step_tokens,
-                    encoder_states,
-                    attention_mask[row_index],
-                    cache=cache,
-                )
-                logits = self.lm_logits(decoder_hidden).numpy()[:, -1, :]
-                next_active: list[tuple[int, int]] = []
-                gather: list[int] = []
-                for r in sorted({r for r, _ in active}):
-                    candidates: list[tuple[list[int], float, bool]] = []
-                    parents: list[int | None] = []
-                    for b, (tokens, score, done) in enumerate(rows[r]):
-                        if done:
-                            candidates.append((tokens, score, True))
-                            parents.append(None)
-                            continue
-                        log_probs = self._log_probs(logits[flat_of[(r, b)]])
-                        top = np.argsort(log_probs)[::-1][:num_beams]
-                        for token in top:
-                            candidates.append(
-                                (tokens + [int(token)], score + float(log_probs[token]), int(token) == self.config.eos_id)
-                            )
-                            parents.append(flat_of[(r, b)])
-                    order = sorted(
-                        range(len(candidates)),
-                        key=lambda i: candidates[i][1] / (max(len(candidates[i][0]) - 1, 1) ** length_penalty),
-                        reverse=True,
-                    )[:num_beams]
-                    rows[r] = [candidates[i] for i in order]
-                    for b, i in enumerate(order):
-                        if not candidates[i][2]:
-                            next_active.append((r, b))
-                            gather.append(parents[i])
-                cache.reorder(np.asarray(gather, dtype=np.int64))
-                active = next_active
-        return [rows[r][0][0][1:][:max_length] for r in range(batch)]
+                active, logits = paged._forward()
+                position = {slot.handle: index for index, slot in enumerate(active)}
+                children: dict[tuple[int, int], tuple[_PagedSlot, int]] = {}
+                for r in sorted({r for r, _ in live}):
+                    beams[r], parents = self._expand_beams(
+                        beams[r], lambda b: logits[position[live[(r, b)].handle]], num_beams, length_penalty
+                    )
+                    for b, ((tokens, _, done), parent) in enumerate(zip(beams[r], parents)):
+                        if not done:
+                            children[(r, b)] = (live[(r, parent)], tokens[-1])
+                # Fork every child before any parent lets go of its pages.
+                forks = {key: parent.sequence.fork() for key, (parent, _) in children.items()}
+                for key, slot in live.items():
+                    if key not in children:
+                        paged._vacate(slot)
+                seated = {}
+                for key, (_, token) in children.items():
+                    slot = live.get(key) or paged._join(*crosses[key[0]], max_length)
+                    slot.sequence.release()  # the parent's hold, or a new slot's empty sequence
+                    slot.sequence, slot.last_token = forks[key], token
+                    seated[key] = slot
+                live = seated
+        finally:
+            paged.close()
+        return [beams[r][0][0][1:][:max_length] for r in range(batch)]
 
     # -- naive reference implementations ------------------------------------------
     def _greedy_generate_reference(self, input_ids: np.ndarray, max_length: int) -> np.ndarray:
@@ -513,59 +469,39 @@ class T5Model(Module):
         with no_grad():
             encoder_hidden = self.encoder(input_ids, attention_mask)
             beams: list[tuple[list[int], float, bool]] = [([self.config.bos_id], 0.0, False)]
+
+            def logits_of(b: int) -> np.ndarray:
+                sequence = np.asarray(beams[b][0], dtype=np.int64)[None, :]
+                return self.lm_logits(self.decoder(sequence, encoder_hidden, attention_mask)).numpy()[0, -1, :]
+
             for _ in range(max_length):
-                candidates: list[tuple[list[int], float, bool]] = []
-                for tokens, score, done in beams:
-                    if done:
-                        candidates.append((tokens, score, True))
-                        continue
-                    sequence = np.asarray(tokens, dtype=np.int64)[None, :]
-                    decoder_hidden = self.decoder(sequence, encoder_hidden, attention_mask)
-                    logits = self.lm_logits(decoder_hidden).numpy()[0, -1, :]
-                    log_probs = self._log_probs(logits)
-                    top = np.argsort(log_probs)[::-1][:num_beams]
-                    for token in top:
-                        candidates.append(
-                            (tokens + [int(token)], score + float(log_probs[token]), int(token) == self.config.eos_id)
-                        )
-                candidates.sort(key=lambda item: item[1] / (max(len(item[0]) - 1, 1) ** length_penalty), reverse=True)
-                beams = candidates[:num_beams]
+                beams, _ = self._expand_beams(beams, logits_of, num_beams, length_penalty)
                 if all(done for _, _, done in beams):
                     break
         return beams[0][0][1:][:max_length]
 
 
+@dataclass(eq=False, slots=True)
 class _PagedSlot:
     """One occupied slot of a :class:`PagedDecodeBatch`: a live sequence's state."""
 
-    __slots__ = ("handle", "sequence", "cross_k", "cross_v", "cross_mask", "tokens", "max_length", "last_token")
-
-    def __init__(
-        self,
-        handle: int,
-        sequence: PagedSequence,
-        cross_k: list[np.ndarray],
-        cross_v: list[np.ndarray],
-        cross_mask: np.ndarray,
-        max_length: int,
-        bos_id: int,
-    ):
-        self.handle = handle
-        self.sequence = sequence
-        self.cross_k = cross_k
-        self.cross_v = cross_v
-        self.cross_mask = cross_mask
-        self.tokens: list[int] = []
-        self.max_length = max_length
-        self.last_token = bos_id
+    handle: int
+    sequence: PagedSequence
+    cross_k: list[np.ndarray]
+    cross_v: list[np.ndarray]
+    cross_mask: np.ndarray
+    max_length: int
+    last_token: int
+    tokens: list[int] = field(default_factory=list)
 
 
 class PagedDecodeBatch:
     """A live greedy-decode batch that sequences join and leave step by step.
 
-    This is the model-side half of continuous batching
-    (:mod:`repro.serving.continuous` owns the scheduling half): up to
-    ``max_slots`` sequences decode together, each backed by its own
+    The one incremental decode step: :meth:`T5Model.generate` drives it for
+    greedy and beam decoding, and :mod:`repro.serving.continuous` schedules
+    it for continuous batching.  Up to ``max_slots`` sequences decode
+    together, each backed by its own
     :class:`~repro.nn.decode_cache.PagedSequence` over a shared
     :class:`~repro.nn.decode_cache.PagedKVArena`.  :meth:`admit` runs the
     sequence's encoder pass (batch of one — bitwise what a solo decode would
@@ -586,19 +522,17 @@ class PagedDecodeBatch:
     :meth:`~repro.nn.attention.MultiHeadAttention.attend_rows`).
 
     **The step is array-level.**  :meth:`step` runs the decoder layers on
-    plain arrays through each module's ``forward_array`` twin — the
-    numpy calls of the module path in the same order and dtype, with no
-    :class:`~repro.nn.tensor.Tensor` built inside the layer loop — so the
-    hidden state it hands to :meth:`T5Model.lm_logits` is bitwise the one
-    ``decoder.forward`` with a :class:`DecodeCache` computes for that row
-    alone.  Weights are read from the modules on every step (float64 masters
-    directly, other dtypes through :func:`~repro.nn.layers.cast_cached`);
-    the batch keeps **no weight snapshot**, so a batch that outlives
-    ``load_state_dict``, ``quantize_int8()`` or a train step on its model
-    decodes with the new weights.  Activation observers attached to a
-    projection (:mod:`repro.nn.calibration`) see its input as usual.  Only
-    the embedding lookup, the LM head and the encoder pass in :meth:`admit`
-    still go through the modules' ``forward``.
+    plain arrays through each module's ``forward_array`` twin — the numpy
+    calls of the module path in the same order and dtype, no
+    :class:`~repro.nn.tensor.Tensor` in the layer loop.  The per-row
+    projections stay ``(rows, 1, d)`` stacks, never one 2-D GEMM: BLAS may
+    round a GEMM row differently from the lone row's product, and again
+    differently as the row count changes.  Weights are read from the modules
+    on every step (via :func:`~repro.nn.layers.cast_cached` below float64),
+    so a batch that outlives ``load_state_dict``, ``quantize_int8()`` or a
+    train step decodes with the new weights, and activation observers
+    (:mod:`repro.nn.calibration`) see each projection's input as usual.
+    :meth:`close` releases every live sequence's pages.
 
     Inference-only: the model must be in eval mode, and every pass runs
     under :func:`~repro.nn.tensor.no_grad` + :func:`~repro.nn.tensor.autocast`
@@ -646,50 +580,36 @@ class PagedDecodeBatch:
         Runs the encoder over the single row and caches each layer's
         projected cross-attention K/V, allocating a free slot; returns the
         sequence's handle (the key :meth:`step` reports completion under).
-        Raises :class:`ModelConfigError` when every slot is occupied — the
-        serving scheduler checks :attr:`free_slots` and queues instead.
+        ``max_length=None`` means the config's ``max_decode_length``; a budget
+        below 1 raises :class:`ModelConfigError`, and so does a full batch —
+        the serving scheduler checks :attr:`free_slots` and queues instead.
         """
         if self.model.training:
             raise ModelConfigError("PagedDecodeBatch is inference-only; call model.eval() first")
-        max_length = max_length or self.model.config.max_decode_length
-        if max_length < 1:
-            raise ModelConfigError("max_length must be at least 1")
-        slot_index = next((i for i, slot in enumerate(self._slots) if slot is None), None)
-        if slot_index is None:
+        max_length = decode_budget(max_length, self.model.config.max_decode_length)
+        if self.free_slots == 0:
             raise ModelConfigError(f"no free slot: all {self.max_slots} are decoding")
         input_ids = np.asarray(input_ids, dtype=np.int64)
         if input_ids.ndim != 1:
             raise ModelConfigError("admit() takes one unbatched source row at a time")
-        attention_mask = (input_ids != self.model.config.pad_id)[None, :]
-        with autocast(self.dtype), no_grad():
-            encoder_hidden = self.model.encoder(input_ids[None, :], attention_mask)
-            cross_k, cross_v = [], []
-            for layer in self.model.decoder.layers:
-                k, v = layer.cross_attention.project_static_kv(encoder_hidden)
-                cross_k.append(k)
-                cross_v.append(v)
-        handle = self._next_handle
-        self._next_handle += 1
-        self._slots[slot_index] = _PagedSlot(
-            handle=handle,
-            sequence=self.arena.sequence(),
-            cross_k=cross_k,
-            cross_v=cross_v,
-            cross_mask=attention_mask[:, None, None, :],  # (1, 1, 1, source_len) keep mask
-            max_length=max_length,
-            bos_id=self.model.config.bos_id,
-        )
-        return handle
+        (cross,) = self._encode(input_ids[None, :])
+        return self._join(*cross, max_length).handle
 
     def evict(self, handle: int) -> None:
         """Drop a live sequence (e.g. its caller gave up), freeing slot and pages."""
-        for index, slot in enumerate(self._slots):
+        for slot in self._slots:
             if slot is not None and slot.handle == handle:
-                slot.sequence.release()
-                self._slots[index] = None
+                self._vacate(slot)
                 self._cross_stacks = {}
                 return
         raise ModelConfigError(f"no live sequence with handle {handle}")
+
+    def close(self) -> None:
+        """Release every live sequence's pages and empty every slot."""
+        for slot in self._slots:
+            if slot is not None:
+                self._vacate(slot)
+        self._cross_stacks = {}
 
     def step(self) -> dict[int, list[int]]:
         """Decode one token for every live sequence; return the newly finished.
@@ -700,13 +620,75 @@ class PagedDecodeBatch:
         sequences leave the batch before the method returns, so their slots
         and pages are immediately reusable.
         """
+        active, logits = self._forward()
+        if not active:
+            return {}
+        eos_id = self.model.config.eos_id
+        finished: dict[int, list[int]] = {}
+        self.last_step_tokens = {}
+        for row, slot in enumerate(active):
+            token = int(logits[row].argmax())
+            self.last_step_tokens[slot.handle] = token
+            slot.tokens.append(token)
+            slot.last_token = token
+            if token == eos_id or len(slot.tokens) >= slot.max_length:
+                finished[slot.handle] = slot.tokens
+                self._vacate(slot)
+        if finished:
+            self._cross_stacks = {}  # no stacked K/V outlives a sequence in it
+        return finished
+
+    # -- the slot machinery both generate drivers share -------------------------------
+    def _encode(self, input_ids: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray], np.ndarray]]:
+        """One encoder pass over ``(rows, source)`` ids: per row, its cross K/V per layer and keep mask.
+
+        Cross-attention K/V is projected once for the whole batch; a row's
+        entries are ``(1, ...)`` views into those arrays.
+        """
+        attention_mask = input_ids != self.model.config.pad_id
+        with autocast(self.dtype), no_grad():
+            encoder_hidden = self.model.encoder(input_ids, attention_mask)
+            projected = [layer.cross_attention.project_static_kv(encoder_hidden) for layer in self.model.decoder.layers]
+        return [
+            (
+                [k[row : row + 1] for k, _ in projected],
+                [v[row : row + 1] for _, v in projected],
+                attention_mask[row : row + 1, None, None, :],  # (1, 1, 1, source_len) keep mask
+            )
+            for row in range(input_ids.shape[0])
+        ]
+
+    def _join(
+        self, cross_k: list[np.ndarray], cross_v: list[np.ndarray], cross_mask: np.ndarray, max_length: int
+    ) -> _PagedSlot:
+        """Seat an encoded row in a free slot over a fresh empty sequence."""
+        slot_index = next((i for i, slot in enumerate(self._slots) if slot is None), None)
+        if slot_index is None:
+            raise ModelConfigError(f"no free slot: all {self.max_slots} are decoding")
+        slot = _PagedSlot(
+            self._next_handle, self.arena.sequence(), cross_k, cross_v, cross_mask, max_length, self.model.config.bos_id
+        )
+        self._next_handle += 1
+        self._slots[slot_index] = slot
+        return slot
+
+    def _vacate(self, slot: _PagedSlot) -> None:
+        slot.sequence.release()
+        self._slots[self._slots.index(slot)] = None
+
+    def _forward(self) -> tuple[list[_PagedSlot], np.ndarray | None]:
+        """Run one decoder pass for every live slot: the slots and their next-token logits.
+
+        Feeds each slot's ``last_token``, appends its K/V to the slot's
+        sequence and returns ``(active, logits)`` with ``logits[i]`` the
+        vocabulary row of ``active[i]`` (``None`` when no slot is live).
+        """
         if self.model.training:
             raise ModelConfigError("PagedDecodeBatch is inference-only; call model.eval() first")
         active = [slot for slot in self._slots if slot is not None]
         if not active:
-            return {}
+            return active, None
         decoder = self.model.decoder
-        config = self.model.config
         self_order, self_buckets = _bucket_rows([slot.sequence.length for slot in active])
         cross_order, cross_buckets = _bucket_rows([slot.cross_mask.shape[-1] for slot in active])
         cross = self._stacked_cross(active, cross_buckets)
@@ -724,8 +706,7 @@ class PagedDecodeBatch:
                 q = attention._split_heads(attention.q_proj.forward_array(normed))
                 k_new = attention._split_heads(attention.k_proj.forward_array(normed))
                 v_new = attention._split_heads(attention.v_proj.forward_array(normed))
-                for row, slot in enumerate(active):
-                    slot.sequence.append(index, k_new[row : row + 1], v_new[row : row + 1])
+                self.arena.append_rows(index, [slot.sequence for slot in active], k_new, v_new)
                 keys, values = zip(
                     *(self.arena.gather(index, [active[row].sequence for row in bucket]) for bucket in self_buckets)
                 )
@@ -738,20 +719,7 @@ class PagedDecodeBatch:
                 hidden = hidden + layer.feed_forward.forward_array(layer.norm_feed_forward.forward_array(hidden))
             hidden = decoder.final_norm.forward_array(hidden)
             logits = self.model.lm_logits(Tensor(hidden)).numpy()[:, -1, :]
-        finished: dict[int, list[int]] = {}
-        self.last_step_tokens = {}
-        for row, slot in enumerate(active):
-            token = int(logits[row].argmax())
-            self.last_step_tokens[slot.handle] = token
-            slot.tokens.append(token)
-            slot.last_token = token
-            if token == config.eos_id or len(slot.tokens) >= slot.max_length:
-                finished[slot.handle] = slot.tokens
-                slot.sequence.release()
-                self._slots[self._slots.index(slot)] = None
-        if finished:
-            self._cross_stacks = {}  # no stacked K/V outlives a sequence in it
-        return finished
+        return active, logits
 
     def _stacked_cross(self, active: list[_PagedSlot], buckets: list[list[int]]) -> list[tuple]:
         """Each source-length bucket's ``(keys per layer, values per layer, mask)``.
@@ -802,6 +770,28 @@ def _attend_rows(attention: MultiHeadAttention, order: list[int] | None, q: np.n
     restored = np.empty_like(attended)
     restored[order] = attended
     return restored
+
+
+def decode_budget(max_length: int | None, default: int) -> int:
+    """``max_length`` as a decode budget: ``None`` means ``default``; below 1 raises."""
+    if max_length is None:
+        return default
+    if max_length < 1:
+        raise ModelConfigError(f"max_length must be at least 1, got {max_length}")
+    return max_length
+
+
+@contextmanager
+def _eval_mode(model: Module):
+    """Run the block with ``model`` in eval mode, restoring training mode after."""
+    if not model.training:
+        yield
+        return
+    model.eval()
+    try:
+        yield
+    finally:
+        model.train()
 
 
 def _pad_token_rows(rows: list[list[int]], pad_id: int) -> np.ndarray:

@@ -23,7 +23,9 @@ lock-step request batches turn into token-level sharing.
 free slot, at the top of each step; a sequence joins mid-flight without
 disturbing batch-mates because every admitted row decodes bitwise-identically
 to its solo ``use_cache=False`` oracle (the :class:`PagedDecodeBatch`
-equivalence contract).  Greedy only — beam search keeps the static path.
+equivalence contract).  Greedy only — beam search runs on
+:meth:`~repro.nn.transformer.T5Model.generate`, which forks hypotheses over
+a batch of its own.
 
 Loops are memoized per ``(model, dtype, slots, page size)`` via
 :func:`continuous_loop_for`, keyed weakly so a loop dies with its model.
@@ -58,7 +60,7 @@ from repro.core.config import precision_compute_dtype
 from repro.core.model import DataVisT5
 from repro.encoding.sequences import strip_modality_tags
 from repro.errors import ServingStateError
-from repro.nn.transformer import T5Model
+from repro.nn.transformer import T5Model, decode_budget
 from repro.obs.names import (
     METRIC_CONTINUOUS_ADMISSION_WAIT_MS,
     METRIC_CONTINUOUS_STEP_MS,
@@ -413,7 +415,10 @@ def continuous_predict_batch(
     returned text exactly (the streaming invariant the serving tier gates on).
     ``trace_parents`` is one optional :class:`~repro.obs.SpanContext` per
     source; sampled sources get a ``decode.step`` span per step they decode.
+    ``max_length=None`` means the config's ``max_decode_length``; a budget
+    below 1 raises :class:`~repro.errors.ModelConfigError`.
     """
+    max_length = decode_budget(max_length, backend.config.max_decode_length)
     if not sources:
         return []
     resolved = backend.resolve_precision(precision)
@@ -431,7 +436,7 @@ def continuous_predict_batch(
         taps = [_delta_tap(backend, index, on_text) for index in range(input_ids.shape[0])]
     rows = loop.run(
         [input_ids[index] for index in range(input_ids.shape[0])],
-        max_length=max_length or backend.config.max_decode_length,
+        max_length=max_length,
         taps=taps,
         trace_parents=trace_parents,
     )

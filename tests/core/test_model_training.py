@@ -66,6 +66,16 @@ class TestDataVisT5Model:
         predictions = toy_model.predict_batch([p.source for p in toy_pairs[:3]])
         assert len(predictions) == 3
 
+    @pytest.mark.parametrize("max_length", [0, -1])
+    def test_predict_budget_below_one_raises(self, toy_model, toy_pairs, max_length):
+        source = toy_pairs[0].source
+        with pytest.raises(ModelConfigError):
+            toy_model.predict(source, max_length=max_length)
+        with pytest.raises(ModelConfigError):
+            toy_model.predict_batch([source], num_beams=2, max_length=max_length)
+        with pytest.raises(ModelConfigError):
+            toy_model.predict_batch([], max_length=max_length)
+
     def test_save_load_roundtrip(self, toy_model, toy_pairs, tmp_path):
         directory = tmp_path / "checkpoint"
         toy_model.save(directory)

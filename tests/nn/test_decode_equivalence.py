@@ -1,14 +1,15 @@
-"""Decode-equivalence suite: KV-cached decoding must match the naive reference.
+"""Decode-equivalence suite: paged decoding must match the naive reference.
 
 The headline guarantee of the incremental-decoding fast path is that it is an
 *optimization only*: for every model, batch composition, pad pattern, beam
-width and length budget, ``generate(use_cache=True)`` returns bitwise-identical
-token ids to the naive reference loops (``use_cache=False``) that re-decode
-the full prefix at every step.  Hypothesis drives the property over random
-tiny models and inputs; targeted tests pin down the tricky corners —
-eos-early-exit, ``max_length`` truncation, the unified greedy/beam output
-contract, and cache bookkeeping (append/reorder, layer-count checks, the
-inference-only guard).
+width and length budget, ``generate(use_cache=True)`` — greedy and beam
+search on the paged decode step — returns bitwise-identical token ids to the
+naive reference loops (``use_cache=False``) that re-decode the full prefix at
+every step.  Hypothesis drives the property over random tiny models and
+inputs; targeted tests pin down the tricky corners — eos-early-exit,
+``max_length`` truncation and validation, the unified greedy/beam output
+contract, decoding a model left in training mode, the incremental step
+against the full decoder pass and the inference-only guard.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelConfigError
 from repro.nn.attention import RelativePositionBias
-from repro.nn.decode_cache import DecodeCache, KVState
 from repro.nn.tensor import no_grad
 from repro.nn.transformer import T5Model, TransformerConfig
 
@@ -205,65 +205,85 @@ class TestOutputContract:
         assert greedy.shape == beam.shape == (1, 4)
 
 
+class TestMaxLengthValidation:
+    """``None`` is the only budget that means "the config default"; below 1 raises."""
+
+    @pytest.mark.parametrize("num_beams", [1, 2])
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("max_length", [0, -1])
+    def test_budget_below_one_raises(self, max_length, use_cache, num_beams):
+        model = build_model()
+        with pytest.raises(ModelConfigError):
+            model.generate(np.array([[5, 6]]), max_length=max_length, num_beams=num_beams, use_cache=use_cache)
+
+    def test_none_means_the_config_default(self):
+        model = build_model(seed=1, eos_id=-1)  # nothing ever matches EOS
+        out = model.generate(np.array([[5, 6]]), max_length=None)
+        assert out.shape == (1, model.config.max_decode_length)
+
+
+class TestTrainingModeDecoding:
+    """``generate`` decodes a training-mode model exactly as in eval mode, on both paths."""
+
+    def build_dropout_model(self, dropout):
+        config = TransformerConfig(vocab_size=24, d_model=8, num_heads=2, d_ff=16, dropout=dropout, seed=11)
+        return T5Model(config)  # fresh models start in training mode
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("num_beams", [1, 2])
+    def test_training_mode_decodes_with_dropout_off(self, dropout, num_beams):
+        model = self.build_dropout_model(dropout)
+        x = np.array([[5, 6, 7], [9, PAD, 10]], dtype=np.int64)
+        assert model.training
+        runs = [
+            model.generate(x, max_length=6, num_beams=num_beams, use_cache=use_cache)
+            for use_cache in (True, False, True, False)
+        ]
+        assert model.training  # the caller's mode is restored
+        model.eval()
+        reference = model.generate(x, max_length=6, num_beams=num_beams, use_cache=False)
+        for run in runs:
+            assert np.array_equal(run, reference)
+
+
 class TestCacheMechanics:
-    def test_kvstate_append_and_length(self):
-        state = KVState()
-        assert state.length == 0
-        k = np.zeros((2, 2, 1, 4))
-        state.append(k, k)
-        state.append(k + 1, k + 1)
-        assert state.length == 2
-        assert state.k.shape == (2, 2, 2, 4)
-        assert np.all(state.k[:, :, 1, :] == 1.0)
-
-    def test_static_state_rejects_append(self):
-        state = KVState(static=True)
-        with pytest.raises(ModelConfigError):
-            state.append(np.zeros((1, 1, 1, 2)), np.zeros((1, 1, 1, 2)))
-
-    def test_reorder_gathers_rows(self):
-        cache = DecodeCache(num_layers=2)
-        for layer in cache.layers:
-            base = np.arange(3, dtype=np.float64).reshape(3, 1, 1, 1)
-            layer.self_attention.append(base, base)
-            layer.cross_attention.set(base * 10, base * 10)
-        cache.reorder([2, 0, 2])
-        assert cache.batch_size == 3
-        for layer in cache.layers:
-            assert layer.self_attention.k[:, 0, 0, 0].tolist() == [2.0, 0.0, 2.0]
-            assert layer.cross_attention.k[:, 0, 0, 0].tolist() == [20.0, 0.0, 20.0]
-
-    def test_layer_count_mismatch_rejected(self):
-        model = build_model(num_decoder_layers=2)
-        with pytest.raises(ModelConfigError):
-            with no_grad():
-                model.decoder(np.array([[BOS]]), model.encoder(np.array([[5, 6]])), cache=DecodeCache(1))
-
     def test_cached_attention_is_inference_only(self):
         model = build_model()
-        encoder_hidden = None
+        attention = model.decoder.layers[0].cross_attention
         with no_grad():
-            encoder_hidden = model.encoder(np.array([[5, 6]]))
+            states = model.encoder(np.array([[5, 6]]))
         with pytest.raises(ModelConfigError):
-            model.decoder(np.array([[BOS]]), encoder_hidden, cache=DecodeCache(1))
+            attention.project_static_kv(states)  # outside no_grad
+        q = np.zeros((1, 2, 1, 4))
+        attention.train()
+        try:
+            with pytest.raises(ModelConfigError):
+                attention.attend_rows(q, [q], [q])
+        finally:
+            attention.eval()
 
     def test_incremental_decoder_matches_full_pass(self):
-        """Feeding tokens one-by-one through the cache reproduces the full
-        decoder forward bit-for-bit in the attended positions' token choices."""
+        """Teacher-forcing a target one token per paged step reproduces the
+        full decoder forward's hidden states at every position."""
         model = build_model(num_decoder_layers=2, seed=9)
-        source = np.array([[5, 6, 7, 8]], dtype=np.int64)
-        target = np.array([[BOS, 10, 11, 12]], dtype=np.int64)
+        source = np.array([5, 6, 7, 8], dtype=np.int64)
+        target = np.array([BOS, 10, 11, 12], dtype=np.int64)
         with no_grad():
-            encoder_hidden = model.encoder(source)
-            full = model.decoder(target, encoder_hidden).numpy()
-            cache = DecodeCache(2)
-            steps = [
-                model.decoder(target[:, i : i + 1], encoder_hidden, cache=cache).numpy()
-                for i in range(target.shape[1])
-            ]
-        incremental = np.concatenate(steps, axis=1)
-        assert np.allclose(incremental, full, atol=1e-10)
-        assert cache.length == target.shape[1]
+            full = model.decoder(target[None], model.encoder(source[None])).numpy()
+        batch = model.paged_decode_batch(max_slots=1)
+        batch.admit(source, max_length=len(target))
+        seen: list[np.ndarray] = []
+        original = model.lm_logits
+        model.lm_logits = lambda hidden: seen.append(hidden.data.copy()) or original(hidden)
+        try:
+            for token in target:
+                (slot,) = [slot for slot in batch._slots if slot is not None]
+                slot.last_token = int(token)
+                batch.step()
+        finally:
+            del model.lm_logits
+        assert np.allclose(np.concatenate(seen, axis=1), full, atol=1e-10)
+        assert batch.active_count == 0 and batch.arena.pages_in_use == 0
 
 
 class TestRelativePositionBiasOffset:

@@ -2,13 +2,14 @@
 
 Two layers of guarantees.  Mechanically: pages allocate, free and recycle
 correctly, gathered views reproduce exactly what was appended, released
-pages reused by another sequence never alias an in-flight one, and the k/v
-dtype+shape invariants hold on both the paged and the contiguous
-(:class:`KVState`) caches.  Semantically: a :class:`PagedDecodeBatch` with
-sequences joining and leaving at arbitrary steps produces, for every
-sequence, token ids bitwise-identical to that row's solo
-``generate(use_cache=False)`` decode — the same oracle the PR 2 decode
-suite pins the static path to.
+pages reused by another sequence never alias an in-flight one, a fork shares
+its parent's pages and copies only the tail page it writes into, every page
+and sequence comes back when the last holder lets go (``generate`` included,
+even when a decode raises), and the k/v dtype+shape invariants hold.
+Semantically: a :class:`PagedDecodeBatch` with sequences joining and leaving
+at arbitrary steps produces, for every sequence, token ids bitwise-identical
+to that row's solo ``generate(use_cache=False)`` decode — the same oracle
+``test_decode_equivalence.py`` pins ``generate`` to.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelConfigError
-from repro.nn.decode_cache import KVState, PagedKVArena
-from repro.nn.transformer import T5Model, TransformerConfig
+from repro.nn.decode_cache import PagedKVArena
+from repro.nn.tensor import Tensor
+from repro.nn.transformer import PagedDecodeBatch, T5Model, TransformerConfig
 
 PAD, EOS = 0, 1
 _MODEL_CACHE: dict[tuple, T5Model] = {}
@@ -137,33 +139,147 @@ class TestArenaMechanics:
                 PagedKVArena(**kwargs)
 
 
-class TestKVStateInvariants:
-    """The satellite fix: append/set must validate *both* k and v."""
+class TestKVPairInvariants:
+    """``PagedSequence.append`` validates *both* k and v."""
 
     def test_append_rejects_mismatched_v_dtype(self):
-        state = KVState()
+        seq = PagedKVArena(num_layers=1, num_heads=1, head_dim=2).sequence()
         with pytest.raises(ModelConfigError):
-            state.append(np.zeros((1, 1, 1, 2)), np.zeros((1, 1, 1, 2), dtype=np.float32))
+            seq.append(0, np.zeros((1, 1, 1, 2)), np.zeros((1, 1, 1, 2), dtype=np.float32))
 
     def test_append_rejects_mismatched_v_shape(self):
-        state = KVState()
+        seq = PagedKVArena(num_layers=1, num_heads=1, head_dim=2).sequence()
         with pytest.raises(ModelConfigError):
-            state.append(np.zeros((1, 1, 1, 2)), np.zeros((1, 1, 2, 2)))
-
-    def test_set_enforces_the_same_invariant(self):
-        state = KVState(static=True)
-        with pytest.raises(ModelConfigError):
-            state.set(np.zeros((1, 1, 3, 2)), np.zeros((1, 1, 3, 2), dtype=np.float32))
-        with pytest.raises(ModelConfigError):
-            state.set(np.zeros((1, 1, 3, 2)), np.zeros((1, 1, 4, 2)))
+            seq.append(0, np.zeros((1, 1, 1, 2)), np.zeros((1, 1, 2, 2)))
 
     def test_matched_pairs_still_work(self):
-        state = KVState()
-        state.append(np.zeros((1, 1, 1, 2)), np.ones((1, 1, 1, 2)))
-        assert state.length == 1
-        static = KVState(static=True)
-        static.set(np.zeros((1, 1, 3, 2)), np.ones((1, 1, 3, 2)))
-        assert static.length == 3
+        seq = PagedKVArena(num_layers=1, num_heads=1, head_dim=2).sequence()
+        seq.append(0, np.zeros((1, 1, 1, 2)), np.ones((1, 1, 1, 2)))
+        assert seq.length == 1
+
+
+def append_step(seq, rng, layers=1):
+    """Append one random position to every layer; returns the per-layer (k, v)."""
+    written = []
+    for layer in range(layers):
+        k, v = rand_kv(rng), rand_kv(rng)
+        seq.append(layer, k, v)
+        written.append((k, v))
+    return written
+
+
+class TestForkAndCopyOnWrite:
+    def test_fork_never_aliases_its_parent(self):
+        arena = PagedKVArena(num_layers=2, num_heads=2, head_dim=4, page_size=3, initial_pages=2)
+        rng = np.random.default_rng(5)
+        parent = arena.sequence()
+        shared = [append_step(parent, rng, layers=2) for _ in range(4)]  # the tail page is part-filled
+        child = parent.fork()
+        assert child.pages == parent.pages and child.length == parent.length == 4
+        parent_tail = [append_step(parent, rng, layers=2) for _ in range(5)]
+        child_tail = [append_step(child, rng, layers=2) for _ in range(5)]
+        for seq, tail in ((parent, parent_tail), (child, child_tail)):
+            for layer in range(2):
+                k_view, v_view = seq.view(layer)
+                history = shared + tail
+                assert np.array_equal(k_view, np.concatenate([step[layer][0] for step in history], axis=2))
+                assert np.array_equal(v_view, np.concatenate([step[layer][1] for step in history], axis=2))
+
+    def test_copy_on_write_copies_only_the_shared_tail_page(self):
+        arena = PagedKVArena(num_layers=2, num_heads=2, head_dim=4, page_size=3, initial_pages=8)
+        rng = np.random.default_rng(6)
+        parent = arena.sequence()
+        for _ in range(7):  # pages hold 3 + 3 + 1 positions
+            append_step(parent, rng, layers=2)
+        child = parent.fork()
+        assert arena.pages_in_use == 3  # the fork holds the same three pages
+        append_step(child, rng, layers=2)
+        assert child.pages[:2] == parent.pages[:2]  # full pages stay shared
+        assert child.pages[2] != parent.pages[2]  # the tail page was copied, once for both layers
+        assert arena.pages_in_use == 4
+        append_step(parent, rng, layers=2)  # the parent is the tail's only holder now: no copy
+        assert arena.pages_in_use == 4
+        sibling = parent.fork()
+        append_step(parent, rng, layers=2)  # writing the shared tail copies it; the sibling keeps the original
+        assert arena.pages_in_use == 5
+        append_step(sibling, rng, layers=2)
+        append_step(sibling, rng, layers=2)  # a full page boundary: a fresh page, nothing copied
+        assert sibling.pages[:2] == parent.pages[:2] and len(sibling.pages) == 4
+        assert arena.pages_in_use == 6
+
+    def test_releasing_every_fork_returns_the_arena_to_zero(self):
+        arena = PagedKVArena(num_layers=1, num_heads=2, head_dim=4, page_size=2, initial_pages=2)
+        rng = np.random.default_rng(7)
+        root = arena.sequence()
+        for _ in range(3):
+            append_step(root, rng)
+        family = [root]
+        for generation in range(3):
+            for seq in list(family):
+                family.append(seq.fork())
+            for index, seq in enumerate(family):
+                for _ in range(index % 3):
+                    append_step(seq, rng)
+        assert arena.sequences_open == len(family) == 8
+        for seq in rng.permutation(len(family)):
+            family[seq].release()
+        assert arena.pages_in_use == 0 and arena.sequences_open == 0
+        assert sorted(arena._free) == list(range(arena.num_pages))
+
+    def test_released_sequence_cannot_fork(self):
+        seq = PagedKVArena(num_layers=1, num_heads=2, head_dim=4).sequence()
+        seq.release()
+        with pytest.raises(ModelConfigError):
+            seq.fork()
+
+
+@pytest.fixture
+def opened_batches(monkeypatch):
+    """Every :class:`PagedDecodeBatch` constructed while the test runs."""
+    opened: list[PagedDecodeBatch] = []
+    original = PagedDecodeBatch.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(PagedDecodeBatch, "__init__", spy)
+    return opened
+
+
+class TestGenerateReturnsEveryPage:
+    @pytest.mark.parametrize("num_beams", [1, 3])
+    def test_no_page_is_held_after_generate(self, opened_batches, num_beams):
+        model = build_model(seed=2, eos_id=-1, num_layers=2)
+        x = np.array([[5, 6, 7], [8, PAD, 9]], dtype=np.int64)
+        model.generate(x, max_length=7, num_beams=num_beams)
+        (batch,) = opened_batches
+        assert batch.arena.stats()["pages_high_water"] > 0
+        assert batch.arena.pages_in_use == 0 and batch.arena.sequences_open == 0
+        assert batch.active_count == 0
+
+    @pytest.mark.parametrize("num_beams", [1, 3])
+    def test_no_page_is_held_when_a_bad_token_raises_mid_decode(self, opened_batches, monkeypatch, num_beams):
+        """From the third step on, the LM head offers a token id past the
+        vocabulary; feeding it back in raises inside the next decode step."""
+        model = build_model(seed=3, eos_id=-1)
+        original = model.lm_logits
+        calls = []
+
+        def poisoned(hidden):
+            logits = original(hidden).numpy()
+            calls.append(len(calls))
+            if len(calls) > 2:
+                bad = np.full(logits.shape[:-1] + (1,), 1e9, dtype=logits.dtype)
+                logits = np.concatenate([logits, bad], axis=-1)
+            return Tensor(logits)
+
+        monkeypatch.setattr(model, "lm_logits", poisoned)
+        with pytest.raises(ModelConfigError, match="embedding range"):
+            model.generate(np.array([[5, 6, 7], [8, 9, 10]]), max_length=8, num_beams=num_beams)
+        (batch,) = opened_batches
+        assert len(calls) == 3
+        assert batch.arena.pages_in_use == 0 and batch.arena.sequences_open == 0
 
 
 @st.composite
@@ -253,6 +369,22 @@ class TestContinuousEquivalence:
         assert batch.free_slots == 1 and batch.arena.pages_in_use == 0
         with pytest.raises(ModelConfigError):
             batch.evict(handle)
+
+    @pytest.mark.parametrize("max_length", [0, -1])
+    def test_admit_budget_below_one_raises(self, max_length):
+        batch = build_model(seed=0).paged_decode_batch()
+        with pytest.raises(ModelConfigError):
+            batch.admit(np.array([5, 6], dtype=np.int64), max_length=max_length)
+        assert batch.free_slots == batch.max_slots
+
+    def test_admit_none_budget_is_the_config_default(self):
+        model = build_model(seed=1, eos_id=-1)
+        batch = model.paged_decode_batch()
+        handle = batch.admit(np.array([5, 6], dtype=np.int64), max_length=None)
+        outputs = {}
+        while handle not in outputs:
+            outputs.update(batch.step())
+        assert len(outputs[handle]) == model.config.max_decode_length
 
     def test_training_mode_rejected(self):
         model = build_model(seed=0)

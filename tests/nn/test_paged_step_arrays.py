@@ -1,19 +1,20 @@
-"""The array-level paged decode step against the module path, float for float.
+"""The array-level paged decode step, float for float.
 
-``PagedDecodeBatch.step`` runs the decoder layers on plain ndarrays.  Three
-contracts keep that honest:
+``PagedDecodeBatch.step`` runs the decoder layers on plain ndarrays, and
+``generate`` drives it for every cached decode.  Three contracts keep that
+honest:
 
 * **Float identity** — at every step the hidden state handed to
   ``T5Model.lm_logits`` for each live row is ``np.array_equal`` (dtype
-  included) to what the lock-step module path (``decoder.forward`` with a
-  ``DecodeCache``, batch of one) computes for that row alone at that
-  position, whatever shares the batch, in float64 and float32, relu and gelu.
+  included) to what the same row gets decoding alone in its own one-slot
+  ``PagedDecodeBatch`` at that position, whatever shares the batch and
+  whenever it joined, in float64 and float32, relu and gelu.
 * **No weight snapshot** — a ``ContinuousDecodeLoop`` memoized per model
   object outlives ``load_state_dict``, a train step and ``quantize_int8()``
   on that object, and must decode with the weights of the moment.
 * **Observers are fed** — an activation observer attached to a projection the
   step reads sees that projection's input exactly as ``Linear.forward``
-  feeds it.
+  feeds it on the module path (encoder, full decoder pass, LM head).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.core.model import DataVisT5
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.calibration import observe_activations
 from repro.nn.optim import Adam
+from repro.nn.tensor import no_grad
 from repro.nn.transformer import T5Model, TransformerConfig
 from repro.serving import continuous_loop_for
 
@@ -89,21 +91,24 @@ def attention_buckets():
         MultiHeadAttention.attend_rows = original
 
 
-def module_path_hiddens(model: T5Model, row: np.ndarray, budget: int, dtype: str) -> list[np.ndarray]:
-    """Row ``row`` decoded alone through ``decoder.forward`` + ``DecodeCache``:
+def solo_hiddens(model: T5Model, row: np.ndarray, budget: int, dtype: str) -> list[np.ndarray]:
+    """Row ``row`` decoded alone in its own one-slot ``PagedDecodeBatch``:
     the ``(1, 1, d_model)`` hidden state handed to the LM head at each position."""
+    batch = model.paged_decode_batch(max_slots=1, dtype=dtype)
+    batch.admit(row, max_length=budget)
     with lm_head_inputs(model) as seen:
-        model.generate(row[None], max_length=budget, dtype=dtype)
+        while batch.active_count:
+            batch.step()
     return seen
 
 
-def assert_paged_matches_module_path(model, rows, budgets, admissions, max_slots, page_size, dtype):
+def assert_rows_match_their_solo_decode(model, rows, budgets, admissions, max_slots, page_size, dtype):
     """Drive a paged batch; compare every live row's LM-head input at every step.
 
     ``admissions`` is cycled for how many queued rows may join before each
     step, which staggers sequence lengths independently of the budgets.
     """
-    references = [module_path_hiddens(model, row, budget, dtype) for row, budget in zip(rows, budgets)]
+    references = [solo_hiddens(model, row, budget, dtype) for row, budget in zip(rows, budgets)]
     batch = model.paged_decode_batch(max_slots=max_slots, page_size=page_size, dtype=dtype)
     pending = list(range(len(rows)))
     owner: dict[int, int] = {}
@@ -161,12 +166,12 @@ class TestFloatIdentity:
         num_layers=st.integers(min_value=1, max_value=2),
         seed=st.integers(min_value=0, max_value=3),
     )
-    def test_lm_head_input_equals_the_module_path(
+    def test_lm_head_input_equals_the_solo_decode(
         self, plan, max_slots, page_size, dtype, activation, num_layers, seed
     ):
         rows, budgets, admissions = plan
         model = build_model(activation=activation, num_layers=num_layers, seed=seed)
-        assert_paged_matches_module_path(model, rows, budgets, admissions, max_slots, page_size, dtype)
+        assert_rows_match_their_solo_decode(model, rows, budgets, admissions, max_slots, page_size, dtype)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_three_rows_share_one_bucket_out_of_slot_order(self, dtype):
@@ -176,7 +181,7 @@ class TestFloatIdentity:
         model = build_model(activation="gelu", num_layers=2, seed=5, eos_id=-1)
         rows = [np.array(row, dtype=np.int64) for row in ([5, 6, 7], [8, 9, 10], [11, 12, 13], [14, 15, 16], [17, 18])]
         with attention_buckets() as calls:
-            assert_paged_matches_module_path(
+            assert_rows_match_their_solo_decode(
                 model, rows, budgets=[5, 1, 5, 5, 3], admissions=[4, 1], max_slots=4, page_size=2, dtype=dtype
             )
         assert any(max(sizes) >= 3 for sizes in calls)
@@ -189,7 +194,7 @@ class TestFloatIdentity:
         model = build_model(activation="relu", num_layers=2, seed=6, eos_id=-1)
         rows = [np.arange(4, 4 + width, dtype=np.int64) for width in (2, 3, 4, 5)]
         with attention_buckets() as calls:
-            assert_paged_matches_module_path(
+            assert_rows_match_their_solo_decode(
                 model, rows, budgets=[8, 7, 6, 5], admissions=[1], max_slots=4, page_size=3, dtype=dtype
             )
         assert max(len(sizes) for sizes in calls) == 4  # four rows were live together
@@ -252,7 +257,7 @@ class TestNoWeightSnapshot:
         """The same memoized loop, decoded through again after each way the
         repo changes a model object's weights, answers with the new weights:
         token ids equal the ``use_cache=False`` oracle and every LM-head input
-        equals the module path's.  Any array cached on the batch (weights, a
+        equals a fresh solo decode's.  Any array cached on the batch (weights, a
         position-bias row) survives one of these changes and fails here."""
         backend = tiny_backend(seed=0)
         model = backend.model.eval()
@@ -261,7 +266,7 @@ class TestNoWeightSnapshot:
 
         def check():
             assert continuous_loop_for(model, dtype=dtype, max_slots=2, page_size=4) is loop
-            references = [module_path_hiddens(model, row, 8, dtype) for row in rows]
+            references = [solo_hiddens(model, row, 8, dtype) for row in rows]
             oracles = [model.generate(row[None], max_length=8, use_cache=False, dtype=dtype)[0] for row in rows]
             for row, reference, oracle in zip(rows, references, oracles):
                 with lm_head_inputs(model) as seen:
@@ -291,7 +296,7 @@ class TestObserverContract:
     def test_attached_observers_see_what_linear_forward_feeds(self):
         """Observers attached by ``observe_activations`` record the same
         inputs, in the same order, under one paged admit + step as under the
-        module path's encoder pass + first cached decoder step."""
+        module path: encoder pass, full decoder pass over BOS, LM head."""
         model = build_model(activation="gelu", num_layers=2, seed=2, eos_id=-1)
         row = np.array([5, 9, PAD, 13], dtype=np.int64)
 
@@ -308,7 +313,13 @@ class TestObserverContract:
             batch.admit(row, max_length=4)
             batch.step()
 
-        via_modules = record(lambda: model.generate(row[None], max_length=1))
+        def modules():
+            mask = (row != PAD)[None, :]
+            with no_grad():
+                encoder_hidden = model.encoder(row[None], mask)
+                model.lm_logits(model.decoder(np.array([[model.config.bos_id]]), encoder_hidden, mask))
+
+        via_modules = record(modules)
         via_arrays = record(paged)
         assert via_modules.keys() == via_arrays.keys()
         for name, inputs in via_modules.items():

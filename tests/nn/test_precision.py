@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelConfigError
-from repro.nn.decode_cache import KVState
+from repro.nn.decode_cache import PagedKVArena
 from repro.nn.layers import Embedding, Linear, cast_cached, symmetric_int8
 from repro.nn.tensor import Tensor, autocast, compute_dtype, grad_enabled, resolve_dtype
 from repro.nn.transformer import T5Model, TransformerConfig
@@ -146,10 +146,10 @@ class TestFloat32Forward:
         np.testing.assert_allclose(reduced, reference, rtol=2e-4, atol=2e-4)
 
     def test_kv_cache_rejects_mixed_dtypes(self):
-        state = KVState()
-        state.append(np.zeros((1, 2, 1, 4), dtype=np.float64), np.zeros((1, 2, 1, 4), dtype=np.float64))
-        with pytest.raises(ModelConfigError):
-            state.append(np.zeros((1, 2, 1, 4), dtype=np.float32), np.zeros((1, 2, 1, 4), dtype=np.float32))
+        seq = PagedKVArena(num_layers=1, num_heads=2, head_dim=4).sequence()
+        seq.append(0, np.zeros((1, 2, 1, 4), dtype=np.float64), np.zeros((1, 2, 1, 4), dtype=np.float64))
+        with pytest.raises(ModelConfigError):  # the same page, so no allocation would catch it
+            seq.append(0, np.zeros((1, 2, 1, 4), dtype=np.float32), np.zeros((1, 2, 1, 4), dtype=np.float32))
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding.sequences import strip_modality_tags
-from repro.errors import ServingStateError
+from repro.errors import ModelConfigError, ServingStateError
 from repro.nn.transformer import T5Model, TransformerConfig
 from repro.serving import (
     BatchWindow,
@@ -242,6 +242,11 @@ class TestPipelineContinuous:
         sources = ["<NL> show the number of artists per country", "<NL> list all exhibitions by year"]
         assert continuous_predict_batch(backend, sources) == backend.predict_batch(sources)
         assert continuous_predict_batch(backend, []) == []
+
+    @pytest.mark.parametrize("max_length", [0, -1])
+    def test_continuous_predict_batch_rejects_budget_below_one(self, env, max_length):
+        with pytest.raises(ModelConfigError):
+            continuous_predict_batch(env["model"], ["<NL> list all exhibitions by year"], max_length=max_length)
 
     def test_pipeline_stats_expose_scheduler_counters(self, env, requests):
         pipeline = Pipeline.from_model(env["model"])
