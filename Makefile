@@ -11,7 +11,7 @@ help:
 	@echo "make test-nochaos  - tier-1 minus the chaos suite (pytest -x -q -m 'not chaos'); make ci runs this plus make test-chaos, so the chaos suite runs once, under its watchdog"
 	@echo "make test-fast     - tests/ only, without the process-killing chaos suite (pytest tests -m 'not chaos')"
 	@echo "make test-decode   - the decode oracles only (paged-vs-naive equivalence, arena forks/copy-on-write, array-step float identity, precision, calibration): the inner loop for nn decode changes"
-	@echo "make test-streaming - streaming + corpus-QA equivalence suites only (chunk protocol, reassembly-equals-sync, differential retrieval)"
+	@echo "make test-streaming - streaming + corpus-QA equivalence suites only (chunk protocol, reassembly-equals-sync, differential retrieval, the shard worker's serve/stream handler)"
 	@echo "make test-chaos    - sharded-tier chaos suite only, bounded by a 900s watchdog (pytest -m chaos)"
 	@echo "make bench         - benchmarks/ only: paper tables I-XII, the design gates and the end-to-end smoke run, all at smoke scale"
 	@echo "make bench-e2e     - the end-to-end benchmark: five workloads x three repeats -> benchmarks/e2e/out/result.json (fails if any output misses its oracle; see benchmarks/e2e/README.md)"
@@ -47,9 +47,10 @@ test-decode:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/nn/test_decode_equivalence.py tests/nn/test_paged_arena.py tests/nn/test_paged_step_arrays.py tests/nn/test_precision.py tests/nn/test_calibration.py -q
 
 # The streaming contract end to end: chunk wire protocol, reassembly-equals-
-# sync properties, and the retrieval index's differential determinism.
+# sync properties, the retrieval index's differential determinism, and the
+# shard worker's one serve handler, which streams chunk frames too.
 test-streaming:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serving_streaming.py tests/test_serving_protocol_roundtrip.py tests/datasets/test_corpus_index.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serving_streaming.py tests/test_serving_protocol_roundtrip.py tests/datasets/test_corpus_index.py tests/test_serving_shard_worker.py -q
 
 # The chaos suite SIGKILLs/SIGSTOPs live shard processes; if a gateway
 # regression ever left a request future unresolved it would hang rather than

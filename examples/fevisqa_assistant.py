@@ -74,7 +74,7 @@ def main() -> None:
         print(f"   zero-shot answer : {response.output}")
 
     print("\n== serving statistics ==")
-    print(f"batching: {pipeline.stats()['batching']['fevisqa']}")
+    print(f"batches : {len(requests)} requests in batches of <= {pipeline.config.max_batch_size}")
     repeat = pipeline.fevisqa(questions[0][0], chart=query, schema=database.schema, table=table_text)
     print(f"repeat of question 1 cached: {repeat.cached}")
 

@@ -101,7 +101,7 @@ def main() -> None:
     ]
     pipeline.serve(burst)
     repeats = pipeline.serve(burst)
-    print(f"batching      : {pipeline.stats()['batching']['text_to_vis']}")
+    print(f"batches       : {len(burst)} requests in batches of <= {pipeline.config.max_batch_size}")
     print(f"response cache: {pipeline.caches['response'].stats()}")
     print(f"all repeats served from cache: {all(r.cached for r in repeats)}")
 

@@ -7,9 +7,9 @@ This module is the single place where ragged token sequences become dense
   collate (source, target) text pairs into :class:`Batch` objects;
 * the neural baselines, which reuse :func:`pad_sequences` and
   :func:`iterate_minibatches` for their own epochs;
-* the serving layer (:mod:`repro.serving`), whose ``MicroBatcher`` groups
-  concurrent requests with :func:`group_into_batches` before padding them
-  into one forward pass.
+* the serving layer (:mod:`repro.serving`), whose ``Pipeline.serve`` splits
+  a burst's cache misses with :func:`group_into_batches` before padding
+  each batch into one forward pass.
 
 Padding is right-aligned with the tokenizer's pad id.  Because every model
 masks pad positions exactly, a sequence produces bitwise-identical output

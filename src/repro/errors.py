@@ -55,10 +55,9 @@ class ServingStateError(ReproError):
 
     Distinct from :class:`ModelConfigError` (a *configuration* was invalid):
     this marks a correct configuration driven through an invalid state
-    transition at runtime — reading a :class:`~repro.serving.batching.Ticket`
-    before its batch flushed, a batch function returning the wrong number of
-    results, a continuous-decode ticket consumed mid-flight or failed by an
-    engine error.
+    transition at runtime — a serving backend returning the wrong number of
+    outputs for a batch, a continuous-decode ticket consumed mid-flight or
+    failed by an engine error.
     """
 
 

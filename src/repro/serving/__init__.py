@@ -2,8 +2,8 @@
 
 This subsystem turns the library's task modules into one production-shaped
 entry point: a :class:`Pipeline` facade serving text-to-vis, vis-to-text and
-FeVisQA behind a uniform :class:`Request`/:class:`Response` protocol, with a
-:class:`MicroBatcher` amortizing neural forward passes over concurrent
+FeVisQA behind a uniform :class:`Request`/:class:`Response` protocol, with
+per-task request batches amortizing neural forward passes over concurrent
 requests and :class:`LRUCache` layers for parsed VQL ASTs, Vega-Lite specs,
 encoder outputs and full responses.  Greedy neural decoding goes one level
 deeper: the per-model :class:`ContinuousDecodeLoop`
@@ -27,7 +27,8 @@ escapes the GIL entirely: a :class:`ShardedServer` forks worker processes
 that each build their own fingerprint-verified pipelines, places request
 keys across them with a consistent-hash ring, and treats shard death (crash,
 wedge) as a first-class event — heartbeat detection, respawn, requeue,
-at-most-once delivery.  The wire layer (:mod:`~repro.serving.transport`) is a
+at-most-once delivery; each child runs a
+:class:`~repro.serving.shard_worker.ShardWorker`.  The wire layer (:mod:`~repro.serving.transport`) is a
 length-prefixed JSON frame protocol over plain pipes.
 
 Both front-ends also serve **token-streaming** responses: ``Server.stream``
@@ -41,7 +42,7 @@ See ``docs/architecture.md`` for the data-flow diagram and the knob
 reference, and ``docs/sharding.md`` for the process model.
 """
 
-from repro.serving.batching import BatchWindow, MicroBatcher, Ticket
+from repro.serving.batching import BatchWindow
 from repro.serving.continuous import (
     ContinuousDecodeLoop,
     DecodeTicket,
@@ -127,9 +128,7 @@ __all__ = [
     "ERROR_SHARD_FAILED",
     "ERROR_CORPUS_EMPTY",
     "ERROR_INDEX_MISMATCH",
-    "MicroBatcher",
     "BatchWindow",
-    "Ticket",
     "ContinuousDecodeLoop",
     "DecodeTicket",
     "continuous_loop_for",

@@ -1,38 +1,23 @@
-"""Micro-batching for the serving layer.
+"""The batch flush policy shared by both serving tiers' collectors.
 
 Neural inference amortizes: one forward pass over eight padded requests costs
-far less than eight passes over one request each.  The :class:`MicroBatcher`
-exploits this without changing observable behaviour — requests are
-accumulated into a pending queue and flushed through a caller-supplied batch
-function, and every submitter gets its own result back through a
-:class:`Ticket`.  :class:`BatchWindow` is the shared flush policy: a batch is
-dispatched when it reaches ``max_batch`` requests *or* ``max_wait_ms`` has
-elapsed since its first request arrived, whichever comes first.  The
-synchronous batcher only ever sees complete bursts so it flushes on size
-alone; the async server (:mod:`repro.serving.server`) sees requests one at a
-time and needs the time trigger to bound latency under trickle traffic.
-
-The batcher is synchronous and deterministic: results are produced in
-submission order, batches never exceed ``max_batch_size``, and because all
-models mask padding exactly, the outputs are bitwise-identical to running
-each request alone (covered by ``tests/test_serving.py``).
-
-Typical use::
-
-    batcher = MicroBatcher(model.predict_batch, max_batch_size=8)
-    tickets = [batcher.submit(source) for source in sources]
-    batcher.flush()
-    outputs = [ticket.value for ticket in tickets]
+far less than eight passes over one request each.  :class:`BatchWindow` is
+the flush policy that lets an accumulating batch fill without letting it
+wait forever: a batch is dispatched when it reaches ``max_batch`` requests
+*or* ``max_wait_ms`` has elapsed since its first request arrived, whichever
+comes first.  The gateway core's collector
+(:func:`repro.serving.gateway.collect_batch`) runs it for both serving
+tiers, which see requests one at a time and need the time trigger to bound
+latency under trickle traffic.  The synchronous
+:meth:`~repro.serving.pipeline.Pipeline.serve` sees whole bursts, so it
+splits them on size alone (:func:`repro.core.batching.group_into_batches`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any
 
-from repro.core.batching import group_into_batches
-from repro.errors import ModelConfigError, ServingStateError
+from repro.errors import ModelConfigError
 
 
 @dataclass(frozen=True)
@@ -43,7 +28,7 @@ class BatchWindow:
     triggering a flush — as soon as either ``max_batch`` items are pending or
     ``max_wait_ms`` milliseconds have passed since the window opened.  The
     policy is pure arithmetic over caller-supplied clocks, so it is trivially
-    unit-testable and shared between the synchronous and asyncio collectors.
+    unit-testable apart from the asyncio collector that runs it.
     """
 
     max_batch: int = 8
@@ -70,106 +55,3 @@ class BatchWindow:
     def remaining_wait(self, opened_at: float, now: float) -> float:
         """Seconds the collector may still wait for more items (>= 0)."""
         return max(0.0, self.closes_at(opened_at) - now)
-
-
-class Ticket:
-    """A placeholder for one submitted item's result.
-
-    ``ready`` flips to ``True`` once the batch containing the item has been
-    flushed; reading ``value`` before that raises ``ServingStateError``.
-    """
-
-    __slots__ = ("item", "_value", "ready")
-
-    def __init__(self, item: Any):
-        self.item = item
-        self._value: Any = None
-        self.ready = False
-
-    @property
-    def value(self) -> Any:
-        """The computed result; raises until the owning batch has flushed."""
-        if not self.ready:
-            raise ServingStateError("ticket is not ready; call MicroBatcher.flush() first")
-        return self._value
-
-    def _resolve(self, value: Any) -> None:
-        self._value = value
-        self.ready = True
-
-
-class MicroBatcher:
-    """Accumulates items and runs them through ``batch_fn`` in bounded batches.
-
-    ``batch_fn`` receives a list of items and must return a list of results of
-    the same length, position-aligned.  Submitting the ``max_batch_size``-th
-    pending item triggers an automatic flush; :meth:`flush` drains whatever
-    remains (e.g. the ragged tail of a request burst).
-
-    Counters (``num_items``, ``num_batches``, ``num_full_batches``) expose how
-    well traffic is amortizing; ``batch_sizes`` keeps the size of every flushed
-    batch for the benchmark reports.
-    """
-
-    def __init__(self, batch_fn: Callable[[list], Sequence], max_batch_size: int = 8):
-        if max_batch_size <= 0:
-            raise ModelConfigError("max_batch_size must be positive")
-        self.batch_fn = batch_fn
-        self.max_batch_size = max_batch_size
-        self.num_items = 0
-        self.num_batches = 0
-        self.num_full_batches = 0
-        self.batch_sizes: list[int] = []
-        self._pending: list[Ticket] = []
-
-    def submit(self, item: Any) -> Ticket:
-        """Queue ``item`` and return its :class:`Ticket`; auto-flush on a full batch."""
-        ticket = Ticket(item)
-        self._pending.append(ticket)
-        if len(self._pending) >= self.max_batch_size:
-            self.flush()
-        return ticket
-
-    def submit_many(self, items: Sequence) -> list[Ticket]:
-        """Queue every item (auto-flushing as batches fill) and return the tickets."""
-        return [self.submit(item) for item in items]
-
-    def flush(self) -> None:
-        """Run every pending item through ``batch_fn`` and resolve its ticket."""
-        pending, self._pending = self._pending, []
-        for batch in group_into_batches(pending, self.max_batch_size) if pending else []:
-            items = [ticket.item for ticket in batch]
-            results = list(self.batch_fn(items))
-            if len(results) != len(items):
-                raise ServingStateError(
-                    f"batch_fn returned {len(results)} results for {len(items)} items"
-                )
-            self.num_items += len(items)
-            self.num_batches += 1
-            self.num_full_batches += len(items) == self.max_batch_size
-            self.batch_sizes.append(len(items))
-            for ticket, result in zip(batch, results):
-                ticket._resolve(result)
-
-    def run(self, items: Sequence) -> list:
-        """Convenience: submit ``items``, flush, and return results in order."""
-        tickets = self.submit_many(items)
-        self.flush()
-        return [ticket.value for ticket in tickets]
-
-    @property
-    def pending(self) -> int:
-        """Number of accepted-but-unflushed submissions."""
-        return len(self._pending)
-
-    def stats(self) -> dict:
-        """Batching counters for monitoring and tests."""
-        mean_size = sum(self.batch_sizes) / len(self.batch_sizes) if self.batch_sizes else 0.0
-        return {
-            "num_items": self.num_items,
-            "num_batches": self.num_batches,
-            "num_full_batches": self.num_full_batches,
-            "max_batch_size": self.max_batch_size,
-            "mean_batch_size": round(mean_size, 3),
-            "pending": self.pending,
-        }

@@ -1,8 +1,9 @@
 """Token-level continuous batching for neural decode traffic.
 
-The micro-batcher (:mod:`repro.serving.batching`) amortizes at *request*
-granularity: a batch decodes in lock-step until its longest member finishes,
-so short requests pay for long ones and arrivals wait for the next window.
+Request batching (``Pipeline.serve``'s per-task batches) amortizes at
+*request* granularity: a batch decodes in lock-step until its longest member
+finishes, so short requests pay for long ones and arrivals wait for the next
+window.
 This module schedules at *token* granularity instead, vLLM-style: one
 persistent :class:`~repro.nn.transformer.PagedDecodeBatch` per backend model
 admits new sequences into free slots at every decode step and evicts

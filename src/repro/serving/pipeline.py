@@ -15,10 +15,10 @@ construction — plus the LRU caches that make repeated traffic cheap:
 
 Single requests go through :meth:`text_to_vis` / :meth:`vis_to_text` /
 :meth:`fevisqa`; concurrent bursts go through :meth:`serve`, which groups
-cache misses per task and pushes them through a :class:`MicroBatcher` so
-neural backends amortize forward passes.  Batched and sequential serving
-produce identical outputs (padding is fully masked); the tests assert this
-bitwise.
+cache misses per task and runs them through the backend in batches of at
+most ``max_batch_size`` so neural backends amortize forward passes.  Batched
+and sequential serving produce identical outputs (padding is fully masked);
+the tests assert this bitwise.
 
 Construction::
 
@@ -65,8 +65,8 @@ from repro.encoding.sequences import (
     text_to_vis_input,
     vis_to_text_input,
 )
-from repro.errors import CorpusEmptyError, IndexMismatchError, ModelConfigError, ReproError
-from repro.serving.batching import MicroBatcher
+from repro.core.batching import group_into_batches
+from repro.errors import CorpusEmptyError, IndexMismatchError, ModelConfigError, ReproError, ServingStateError
 from repro.serving.cache import LRUCache, normalize_key
 from repro.serving.continuous import continuous_loop_stats, continuous_predict_batch
 from repro.serving.protocol import (
@@ -110,7 +110,7 @@ class PipelineConfig:
     With ``use_cache`` on, greedy DataVisT5 decoding runs through the
     token-level continuous scheduler (:mod:`repro.serving.continuous`) —
     sequences join and leave the live batch per step, so short requests stop
-    paying for long batch-mates; rule-based backends keep the micro-batcher.
+    paying for long batch-mates; rule-based backends keep request batches.
     Neither knob overrides baseline backends: neural baselines own the
     equivalent constructor knobs configured where the baseline is built
     (e.g. ``{"type": "neural", "precision": "float32"}`` in a registry
@@ -135,6 +135,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.precision is not None:
             validate_precision(self.precision)
+        if self.max_batch_size < 1:
+            raise ModelConfigError(f"max_batch_size must be positive, got {self.max_batch_size!r}")
         if not isinstance(self.corpus_top_k, int) or isinstance(self.corpus_top_k, bool) or self.corpus_top_k < 1:
             raise ModelConfigError(f"corpus_top_k must be a positive int, got {self.corpus_top_k!r}")
 
@@ -413,7 +415,6 @@ class Pipeline:
             "response": LRUCache(self.config.response_cache_size, name="response"),
             "render": LRUCache(self.config.render_cache_size, name="render"),
         }
-        self._batchers: dict[str, MicroBatcher] = {}
 
     # -- construction -----------------------------------------------------------------
     @classmethod
@@ -502,7 +503,7 @@ class Pipeline:
         return self.serve([request])[0]
 
     def serve(self, requests: list[Request], strict: bool = True) -> list[Response]:
-        """Serve a burst of requests, micro-batching cache misses per task.
+        """Serve a burst of requests, batching cache misses per task.
 
         Responses come back position-aligned with ``requests``, in the exact
         input order, regardless of how the burst splits into cache hits,
@@ -515,91 +516,26 @@ class Pipeline:
         aborting the burst.  With ``strict=False`` — the mode the async
         server runs in — each failing request yields a structured error
         :class:`Response` in its slot (``error`` set, ``output`` empty) while
-        every other request is still answered.
+        every other request is still answered.  A backend that returns the
+        wrong number of outputs for a batch fails its task's requests the
+        same way, as ``backend_error``.
         """
-        responses: list[Response | None] = [None] * len(requests)
-        misses: dict[str, list[tuple[int, _Prepared]]] = {}
-        for index, request in enumerate(requests):
-            try:
-                # An unconfigured task is a misconfiguration of the request
-                # against this pipeline, not a backend failure: surface it as
-                # invalid_request (matching the async server's fail-fast
-                # check) rather than letting the batch stage raise later.
-                self._engine(request.task)
-                prepared = self.prepare(request)
-            except Exception as error:  # noqa: BLE001 - strict=False must contain any backend
-                if strict:
-                    raise
-                responses[index] = error_response(request, error_code_for(error), str(error))
-                continue
-            cached = self.cached_response(prepared)
-            if cached is not None:
-                responses[index] = cached
-            else:
-                misses.setdefault(request.task, []).append((index, prepared))
-
-        for task, entries in misses.items():
-            # Within one burst, identical keys hit the backend once; every
-            # duplicate after the first is a cache-style fan-out.
-            by_key: dict[str, list[tuple[int, _Prepared]]] = {}
-            unique: list[_Prepared] = []
-            for index, prepared in entries:
-                if prepared.key not in by_key:
-                    by_key[prepared.key] = []
-                    unique.append(prepared)
-                by_key[prepared.key].append((index, prepared))
-            try:
-                outputs = self._batcher(task).run(unique)
-            except Exception as error:  # noqa: BLE001 - strict=False must contain any backend
-                if strict:
-                    raise
-                for index, prepared in entries:
-                    responses[index] = error_response(
-                        prepared.request, ERROR_BACKEND, str(error)
-                    )
-                continue
-            for first, output in zip(unique, outputs):
-                payload = self.complete(first, output)
-                for position, (index, prepared) in enumerate(by_key[first.key]):
-                    responses[index] = self.response_from(prepared, payload, cached=position > 0)
-        return responses  # type: ignore[return-value]
+        return self._serve(requests, strict)
 
     def serve_streaming(self, request: Request, on_text, strict: bool = True) -> Response:
         """Serve one request while streaming output text deltas to ``on_text``.
 
-        ``on_text(delta)`` receives incremental tag-stripped text from the
-        decoding thread; the returned :class:`Response` is bitwise-identical
-        to :meth:`submit` for the same request (streaming never changes what
-        is generated, only when the caller sees it).  Response-cache hits and
-        non-continuous backends answer atomically without calling ``on_text``
-        — stream assemblers reconcile against the final response, so the
-        joined stream still reproduces ``Response.output`` exactly.
-
-        With ``strict=True`` errors propagate as exceptions; ``strict=False``
-        contains them as structured error responses with the same stage-aware
-        code mapping as :meth:`serve` (request-stage failures through
-        :func:`error_code_for`, backend failures as ``backend_error``), which
-        is what the sharded tier's stream frames run under.
+        The one-request form of :meth:`serve` with the tap set on a cache
+        miss.  ``on_text(delta)`` receives incremental tag-stripped text from
+        the decoding thread; the returned :class:`Response` is
+        bitwise-identical to :meth:`submit` for the same request (streaming
+        never changes what is generated, only when the caller sees it).
+        Response-cache hits and non-continuous backends answer atomically
+        without calling ``on_text`` — stream assemblers reconcile against the
+        final response, so the joined stream still reproduces
+        ``Response.output`` exactly.  ``strict`` is :meth:`serve`'s.
         """
-        try:
-            engine = self._engine(request.task)
-            prepared = self.prepare(request)
-        except Exception as error:  # noqa: BLE001 - strict=False must contain any failure
-            if strict:
-                raise
-            return error_response(request, error_code_for(error), str(error))
-        cached = self.cached_response(prepared)
-        if cached is not None:
-            return cached
-        prepared = replace(prepared, on_text=on_text)
-        try:
-            output = engine.predict_batch([prepared])[0]
-        except Exception as error:  # noqa: BLE001 - strict=False must contain any backend
-            if strict:
-                raise
-            return error_response(request, ERROR_BACKEND, str(error))
-        payload = self.complete(prepared, output)
-        return self.response_from(prepared, payload)
+        return self._serve([request], strict, on_text)[0]
 
     # -- the request life cycle, one stage per method ----------------------------------
     # These are the serving primitives the async front-end (`repro.serving.
@@ -609,14 +545,25 @@ class Pipeline:
 
     def prepare(self, request: Request) -> _Prepared:
         """Encode ``request`` into its backend input and cache identity."""
-        return self._prepare(request)
+        if request.task == "text_to_vis":
+            prepared = self._prepare_text_to_vis(request)
+        elif request.task == "vis_to_text":
+            prepared = self._prepare_vis_to_text(request)
+        elif request.task == "corpus_qa":
+            prepared = self._prepare_corpus_qa(request)
+        else:
+            prepared = self._prepare_fevisqa(request)
+        # Trace context rides along so engines can parent their stage spans;
+        # it is never part of the cache identity.
+        prepared.trace = SpanContext.from_wire(request.trace)
+        return prepared
 
     def cached_response(self, prepared: _Prepared) -> Response | None:
         """The response-cache hit for ``prepared``, or ``None`` on a miss."""
         payload = self.caches["response"].get(prepared.key)
         if payload is None:
             return None
-        return self._response_from(prepared, payload, cached=True)
+        return self.response_from(prepared, payload, cached=True)
 
     def complete(self, prepared: _Prepared, output: str, cache: bool = True) -> dict:
         """Postprocess one backend ``output`` into a payload and cache it.
@@ -633,7 +580,21 @@ class Pipeline:
 
     def response_from(self, prepared: _Prepared, payload: dict, cached: bool = False) -> Response:
         """Build the caller-facing :class:`Response` from a completed payload."""
-        return self._response_from(prepared, payload, cached)
+        vega_lite = payload["vega_lite"]
+        stages = payload.get("stages")
+        return Response(
+            task=prepared.request.task,
+            output=payload["output"],
+            source=prepared.source,
+            cached=cached,
+            query=payload["query"],
+            # deep-copied so callers embellishing the spec (e.g. inlining
+            # data values) cannot corrupt the spec cache or other responses
+            vega_lite=copy.deepcopy(vega_lite) if vega_lite is not None else None,
+            valid=payload["valid"],
+            request_id=prepared.request.request_id,
+            telemetry={"stages": copy.deepcopy(stages)} if stages else None,
+        )
 
     def spawn_engines(self, precision: str | None = None) -> dict[str, _Engine]:
         """Fresh per-task :class:`_Engine` instances over this pipeline's backends.
@@ -672,7 +633,7 @@ class Pipeline:
         )
 
     def stats(self) -> dict:
-        """Cache, batching and continuous-scheduler counters for every stage."""
+        """Cache and continuous-scheduler counters for every stage."""
         continuous: dict[str, dict] = {}
         for task, engine in self._engines.items():
             if isinstance(engine, _Engine) and engine.use_cache and isinstance(engine.backend, DataVisT5):
@@ -681,7 +642,6 @@ class Pipeline:
                     continuous[task] = loops
         return {
             "caches": {name: cache.stats() for name, cache in self.caches.items()},
-            "batching": {task: batcher.stats() for task, batcher in self._batchers.items()},
             "continuous": continuous,
         }
 
@@ -695,25 +655,63 @@ class Pipeline:
             )
         return engine
 
-    def _batcher(self, task: str) -> MicroBatcher:
-        if task not in self._batchers:
-            engine = self._engine(task)
-            self._batchers[task] = MicroBatcher(engine.predict_batch, self.config.max_batch_size)
-        return self._batchers[task]
+    def _serve(self, requests: list[Request], strict: bool, on_text=None) -> list[Response]:
+        """:meth:`serve`'s body; ``on_text`` taps every cache miss's decode."""
+        responses: list[Response | None] = [None] * len(requests)
+        misses: dict[str, list[tuple[int, _Prepared]]] = {}
+        for index, request in enumerate(requests):
+            try:
+                # An unconfigured task is a misconfiguration of the request
+                # against this pipeline, not a backend failure: surface it as
+                # invalid_request (matching the async server's fail-fast
+                # check) rather than letting the batch stage raise later.
+                self._engine(request.task)
+                prepared = self.prepare(request)
+            except Exception as error:  # noqa: BLE001 - strict=False must contain any backend
+                if strict:
+                    raise
+                responses[index] = error_response(request, error_code_for(error), str(error))
+                continue
+            cached = self.cached_response(prepared)
+            if cached is not None:
+                responses[index] = cached
+            else:
+                prepared.on_text = on_text
+                misses.setdefault(request.task, []).append((index, prepared))
 
-    def _prepare(self, request: Request) -> _Prepared:
-        if request.task == "text_to_vis":
-            prepared = self._prepare_text_to_vis(request)
-        elif request.task == "vis_to_text":
-            prepared = self._prepare_vis_to_text(request)
-        elif request.task == "corpus_qa":
-            prepared = self._prepare_corpus_qa(request)
-        else:
-            prepared = self._prepare_fevisqa(request)
-        # Trace context rides along so engines can parent their stage spans;
-        # it is never part of the cache identity.
-        prepared.trace = SpanContext.from_wire(request.trace)
-        return prepared
+        for task, entries in misses.items():
+            # Within one burst, identical keys hit the backend once; every
+            # duplicate after the first is a cache-style fan-out.
+            by_key: dict[str, list[tuple[int, _Prepared]]] = {}
+            for index, prepared in entries:
+                by_key.setdefault(prepared.key, []).append((index, prepared))
+            unique = [group[0][1] for group in by_key.values()]
+            try:
+                outputs = self._predict(task, unique)
+            except Exception as error:  # noqa: BLE001 - strict=False must contain any backend
+                if strict:
+                    raise
+                for index, prepared in entries:
+                    responses[index] = error_response(prepared.request, ERROR_BACKEND, str(error))
+                continue
+            for first, output in zip(unique, outputs):
+                payload = self.complete(first, output)
+                for position, (index, prepared) in enumerate(by_key[first.key]):
+                    responses[index] = self.response_from(prepared, payload, cached=position > 0)
+        return responses  # type: ignore[return-value]
+
+    def _predict(self, task: str, prepared: list[_Prepared]) -> list[str]:
+        """``task``'s backend outputs for ``prepared``, in order, ``max_batch_size`` at a time."""
+        engine = self._engine(task)
+        outputs: list[str] = []
+        for batch in group_into_batches(prepared, self.config.max_batch_size):
+            answered = engine.predict_batch(batch)
+            if len(answered) != len(batch):
+                raise ServingStateError(
+                    f"the {task} backend returned {len(answered)} outputs for {len(batch)} requests"
+                )
+            outputs.extend(answered)
+        return outputs
 
     def _prepare_text_to_vis(self, request: Request) -> _Prepared:
         schema = request.schema
@@ -872,23 +870,6 @@ class Pipeline:
             # of the cached payload, so cache hits replay their telemetry too
             payload["stages"] = copy.deepcopy(prepared.stages)
         return payload
-
-    def _response_from(self, prepared: _Prepared, payload: dict, cached: bool) -> Response:
-        vega_lite = payload["vega_lite"]
-        stages = payload.get("stages")
-        return Response(
-            task=prepared.request.task,
-            output=payload["output"],
-            source=prepared.source,
-            cached=cached,
-            query=payload["query"],
-            # deep-copied so callers embellishing the spec (e.g. inlining
-            # data values) cannot corrupt the spec cache or other responses
-            vega_lite=copy.deepcopy(vega_lite) if vega_lite is not None else None,
-            valid=payload["valid"],
-            request_id=prepared.request.request_id,
-            telemetry={"stages": copy.deepcopy(stages)} if stages else None,
-        )
 
 
 def error_code_for(error: Exception) -> str:

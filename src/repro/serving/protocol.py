@@ -2,7 +2,7 @@
 
 Every task the pipeline serves — text-to-vis, vis-to-text, FeVisQA, and the
 retrieval-grounded corpus-QA task — is expressed as one :class:`Request` in
-and one :class:`Response` out, so callers (and the micro-batcher) handle a
+and one :class:`Response` out, so callers (and the request batches) handle a
 single shape regardless of task or backing model.  ``Request`` carries the
 task name plus whichever payload fields that task reads; ``Response`` always
 carries the generated text and, when the task produces one, the

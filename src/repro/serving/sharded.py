@@ -21,11 +21,12 @@ Process model
   key to a stable shard slot — which a request leaves only while that shard
   is busy and another is idle (:func:`~repro.serving.gateway.place`).
 * Each **shard** runs a blocking frame loop over two OS pipes (the
-  length-prefixed JSON protocol of :mod:`repro.serving.transport`), serving
-  ``serve`` frames through ``Pipeline.serve(strict=False)`` and answering
-  ``load`` / ``unload`` frames for rolling deployments.  A daemon thread
-  emits heartbeat frames so the gateway can tell a *wedged* shard (alive but
-  stopped — e.g. ``SIGSTOP``) from a busy one.
+  length-prefixed JSON protocol of :mod:`repro.serving.transport`); its
+  :class:`~repro.serving.shard_worker.ShardWorker` serves ``serve`` frames
+  through ``Pipeline.serve(strict=False)`` and answers ``load`` / ``unload``
+  frames for rolling deployments (:mod:`repro.serving.shard_worker`).  A
+  daemon thread emits heartbeat frames so the gateway can tell a *wedged*
+  shard (alive but stopped — e.g. ``SIGSTOP``) from a busy one.
 
 Failure semantics
 -----------------
@@ -59,19 +60,19 @@ Streaming
 
 :meth:`ShardedServer.stream` serves one request as an ordered sequence of
 :class:`~repro.serving.protocol.ResponseChunk` (see ``docs/corpus_qa.md``).
-A streaming job is dispatched as its own ``stream`` frame (never batched —
-its ``chunk`` frames interleave with other traffic on the reply pipe); the
-shard runs ``Pipeline.serve_streaming(strict=False)`` and emits each text
-delta as a ``chunk`` frame before the ordinary ``result`` frame, so chunk
-and result ordering is the pipe's FIFO ordering.  Old shards ignore the
-``stream`` frame type (unknown frames are skipped), keeping the protocol
-backward-safe.  If the shard dies mid-stream the job requeues like any
-other: the restarted stream re-emits from ``chunk_seq`` 0 and the gateway
-turns that into a ``seq`` 0 reset chunk, so
+A streaming job is dispatched as a one-request ``serve`` frame marked
+``"stream": true`` (never batched — its ``chunk`` frames interleave with
+other traffic on the reply pipe); the shard runs
+``Pipeline.serve_streaming(strict=False)`` and emits each text delta as a
+``chunk`` frame before the ordinary ``result`` frame, so chunk and result
+ordering is the pipe's FIFO ordering.  If the shard dies mid-stream the job
+requeues like any other: the restarted stream re-emits from ``chunk_seq`` 0
+and the gateway turns that into a ``seq`` 0 reset chunk, so
 :func:`~repro.serving.protocol.assemble_stream` still reproduces the final
 ``Response.output`` bitwise; a requeue budget exhausted mid-stream yields a
 terminal ``shard_failed`` error chunk — a stream never hangs and never ends
-without a final chunk.
+without a final chunk.  A consumer that leaves early still gets its trace
+root finished, as ``error``.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ import os
 import queue as queue_module
 import signal
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -107,7 +107,6 @@ from repro.obs.names import (
     METRIC_GATEWAY_RESPAWNS_TOTAL,
     SPAN_GATEWAY_DISPATCH,
     SPAN_GATEWAY_REQUEST,
-    SPAN_SHARD_SERVE,
 )
 from repro.obs.trace import SpanContext
 from repro.serving.batching import BatchWindow
@@ -133,24 +132,14 @@ from repro.serving.protocol import (
     Response,
     error_response,
 )
+from repro.serving.shard_worker import FAULT_MODES, run_shard
 from repro.serving.transport import (
-    EndOfStream,
     FrameDecoder,
     TransportError,
     encode_frame,
-    read_frame,
-    request_from_wire,
     request_to_wire,
     write_frame,
 )
-
-#: Fault-injection modes a shard understands (``ShardConfig.
-#: enable_fault_injection`` must be on): ``exit`` calls ``os._exit`` before
-#: answering the triggering batch (a crash with work in flight), ``wedge``
-#: silences the heartbeat thread and stops consuming frames (a ``SIGSTOP``
-#: -shaped hang, detectable only by heartbeat timeout), ``drop_batch``
-#: swallows one batch's reply and keeps going (a lost-result bug).
-FAULT_MODES = ("exit", "wedge", "drop_batch")
 
 # Gateway-side observability instruments, fetched once at import (both the
 # gateway process and — via fork — the shard children share the names; each
@@ -255,258 +244,6 @@ class ShardConfig:
         return BatchWindow(max_batch=self.max_batch, max_wait_ms=self.max_wait_ms)
 
 
-def _service_sleep_s(config: ShardConfig, task: str) -> float:
-    """Calibrated per-response service time for ``task``, in seconds."""
-    spec = config.calibrated_service_ms
-    if spec is None:
-        return 0.0
-    if isinstance(spec, dict):
-        return float(spec.get(task, spec.get("default", 0.0))) / 1000.0
-    return float(spec) / 1000.0
-
-
-# -- shard (child process) side --------------------------------------------------------
-def _shard_run(
-    slot: str,
-    generation: int,
-    registry_path: str,
-    refs: list[str],
-    in_fd: int,
-    out_fd: int,
-    config: ShardConfig,
-) -> None:
-    """The worker-shard main loop.  Runs in the forked child; never returns.
-
-    Builds one :class:`~repro.serving.pipeline.Pipeline` per deployment ref
-    through the (fingerprint-verifying) registry, reports ``ready``, then
-    serves frames until EOF or a ``stop`` frame.  All exits go through
-    ``os._exit`` so the child never runs the parent's atexit machinery.
-    """
-    from repro.deploy.registry import ModelRegistry
-
-    write_lock = threading.Lock()
-    state = {"wedged": False}
-
-    def emit(frame: dict) -> None:
-        with write_lock:
-            write_frame(out_fd, frame)
-
-    def heartbeat_loop() -> None:
-        # Started before model loading so a slow checkpoint load never looks
-        # like a wedge.  A write failure means the gateway is gone: exit.
-        while True:
-            time.sleep(config.heartbeat_interval_ms / 1000.0)
-            if state["wedged"]:
-                return
-            try:
-                # Heartbeats double as the metrics uplink: each frame carries
-                # the shard's cumulative registry snapshot so the gateway can
-                # merge cross-process metrics without a separate channel.
-                emit(
-                    {
-                        "type": "heartbeat",
-                        "slot": slot,
-                        "generation": generation,
-                        "metrics": obs.METRICS.snapshot(),
-                    }
-                )
-            except OSError:
-                os._exit(0)
-
-    threading.Thread(target=heartbeat_loop, name="shard-heartbeat", daemon=True).start()
-
-    try:
-        registry = ModelRegistry(registry_path)
-        pipelines = {}
-        for ref in refs:
-            manifest = registry.get(ref)
-            if manifest.id not in pipelines:
-                pipelines[manifest.id] = registry.build_pipeline(ref)
-        emit(
-            {
-                "type": "ready",
-                "slot": slot,
-                "generation": generation,
-                "pid": os.getpid(),
-                "deployments": sorted(pipelines),
-            }
-        )
-    except Exception as error:  # noqa: BLE001 - report any startup failure, then die
-        with contextlib.suppress(OSError):
-            emit({"type": "fatal", "slot": slot, "detail": f"shard startup failed: {error}"})
-        os._exit(1)
-
-    fault = {"mode": None, "after": 0}
-
-    def begin_serve_spans(requests: list[Request]) -> tuple[list, list[Request]]:
-        # One shard.serve span per traced request; the request is re-pointed
-        # at the span's context so pipeline stage spans parent under it.
-        spans = [
-            obs.TRACES.begin(
-                SPAN_SHARD_SERVE,
-                SpanContext.from_wire(request.trace),
-                attrs={"slot": slot, "task": request.task},
-            )
-            for request in requests
-        ]
-        traced = [
-            replace(request, trace=span.context.to_wire()) if span is not None else request
-            for request, span in zip(requests, spans)
-        ]
-        return spans, traced
-
-    def attach_spans(spans: list, responses: list[Response]) -> None:
-        # Ship each trace's finished spans back embedded in the response
-        # telemetry; take() empties the local store so a span crosses the
-        # pipe exactly once and the gateway's ingest is the only copy.
-        for span, response in zip(spans, responses):
-            if span is None:
-                continue
-            obs.TRACES.finish(span, status="ok" if response.error is None else "error")
-            telemetry = dict(response.telemetry or {})
-            telemetry["spans"] = [item.as_dict() for item in obs.TRACES.take(span.trace_id)]
-            response.telemetry = telemetry
-
-    def maybe_trigger_fault() -> str | None:
-        if fault["mode"] is None:
-            return None
-        fault["after"] -= 1
-        if fault["after"] > 0:
-            return None
-        mode, fault["mode"] = fault["mode"], None
-        if mode == "exit":
-            os._exit(13)
-        if mode == "wedge":
-            state["wedged"] = True
-            while True:  # pragma: no cover - killed by the gateway
-                time.sleep(60.0)
-        return mode  # "drop_batch": the caller skips its reply
-
-    while True:
-        try:
-            frame = read_frame(in_fd)
-        except EndOfStream:
-            os._exit(0)
-        except TransportError as error:
-            with contextlib.suppress(OSError):
-                emit({"type": "fatal", "slot": slot, "detail": f"bad frame: {error}"})
-            os._exit(1)
-        try:
-            ftype = frame.get("type")
-            if ftype == "serve":
-                dropped = maybe_trigger_fault() == "drop_batch"
-                requests = [request_from_wire(payload) for payload in frame["requests"]]
-                serve_spans, requests = begin_serve_spans(requests)
-                pipeline = pipelines.get(frame["deployment"])
-                if pipeline is None:
-                    responses = [
-                        error_response(
-                            request,
-                            ERROR_INVALID_REQUEST,
-                            f"deployment {frame['deployment']!r} is not loaded on shard {slot}",
-                        )
-                        for request in requests
-                    ]
-                else:
-                    responses = pipeline.serve(requests, strict=False)
-                attach_spans(serve_spans, responses)
-                pause = sum(
-                    _service_sleep_s(config, response.task)
-                    for response in responses
-                    if response.error is None and not response.cached
-                )
-                if pause > 0:
-                    time.sleep(pause)
-                if not dropped:
-                    emit(
-                        {
-                            "type": "result",
-                            "seq": frame["seq"],
-                            "slot": slot,
-                            "generation": generation,
-                            "responses": [response.as_dict() for response in responses],
-                        }
-                    )
-            elif ftype == "stream":
-                dropped = maybe_trigger_fault() == "drop_batch"
-                request = request_from_wire(frame["request"])
-                serve_spans, traced = begin_serve_spans([request])
-                request = traced[0]
-                seq = frame["seq"]
-                pipeline = pipelines.get(frame["deployment"])
-                if pipeline is None:
-                    response = error_response(
-                        request,
-                        ERROR_INVALID_REQUEST,
-                        f"deployment {frame['deployment']!r} is not loaded on shard {slot}",
-                    )
-                else:
-                    chunk_state = {"next": 0}
-
-                    def on_text(delta: str, _seq=seq, _state=chunk_state, _trace=request.trace) -> None:
-                        emit(
-                            {
-                                "type": "chunk",
-                                "seq": _seq,
-                                "chunk_seq": _state["next"],
-                                "text": delta,
-                                "slot": slot,
-                                "generation": generation,
-                                **({"trace": _trace} if _trace is not None else {}),
-                            }
-                        )
-                        _state["next"] += 1
-
-                    response = pipeline.serve_streaming(request, on_text, strict=False)
-                    if response.error is None and not response.cached:
-                        pause = _service_sleep_s(config, response.task)
-                        if pause > 0:
-                            time.sleep(pause)
-                attach_spans(serve_spans, [response])
-                if not dropped:
-                    emit(
-                        {
-                            "type": "result",
-                            "seq": seq,
-                            "slot": slot,
-                            "generation": generation,
-                            "responses": [response.as_dict()],
-                        }
-                    )
-            elif ftype == "load":
-                ref = frame["ref"]
-                try:
-                    # Re-read the registry file: the version being deployed
-                    # was registered after this shard forked.
-                    fresh = ModelRegistry(registry_path)
-                    manifest = fresh.get(ref)
-                    if manifest.id not in pipelines:
-                        pipelines[manifest.id] = fresh.build_pipeline(ref)
-                    emit({"type": "loaded", "slot": slot, "ref": ref, "deployment": manifest.id})
-                except Exception as error:  # noqa: BLE001 - any load failure is reported
-                    emit({"type": "load_failed", "slot": slot, "ref": ref, "detail": str(error)})
-            elif ftype == "unload":
-                pipelines.pop(frame["deployment"], None)
-                emit({"type": "unloaded", "slot": slot, "deployment": frame["deployment"]})
-            elif ftype == "fault":
-                if config.enable_fault_injection and frame.get("mode") in FAULT_MODES:
-                    fault["mode"] = frame["mode"]
-                    fault["after"] = max(1, int(frame.get("after", 1)))
-                    emit({"type": "fault_armed", "slot": slot, "mode": frame["mode"]})
-                else:
-                    emit({"type": "fault_rejected", "slot": slot, "mode": frame.get("mode")})
-            elif ftype == "stop":
-                os._exit(0)
-            # unknown frame types are ignored: a newer gateway may speak more
-        except OSError:
-            os._exit(0)
-        except Exception as error:  # noqa: BLE001 - one bad frame must not loop forever
-            with contextlib.suppress(OSError):
-                emit({"type": "fatal", "slot": slot, "detail": f"shard loop failed: {error}"})
-            os._exit(1)
-
-
-# -- gateway side ----------------------------------------------------------------------
 class _Ticket:
     """The gateway's view of one request: its wire form and identities.
 
@@ -706,18 +443,23 @@ class ShardedServer:
         chunks = StreamReconciler(request)
         events: queue_module.Queue = queue_module.Queue()
         asyncio.run_coroutine_threadsafe(self._stream_submit(request, events.put), self._loop)
-        while True:
-            kind, value = events.get()
-            if kind == "done":
-                response = value
-                break
-            chunk_seq, text = value
-            # chunk_seq 0 after earlier chunks: the stream's shard died and
-            # the requeued job is streaming again from scratch.
-            yield chunks.delta(text, restarted=chunk_seq == 0)
-        if span is not None:
-            obs.TRACES.finish(span, status="ok" if response.error is None else "error")
-        yield from chunks.finish(response)
+        try:
+            while True:
+                kind, value = events.get()
+                if kind == "done":
+                    response = value
+                    break
+                chunk_seq, text = value
+                # chunk_seq 0 after earlier chunks: the stream's shard died and
+                # the requeued job is streaming again from scratch.
+                yield chunks.delta(text, restarted=chunk_seq == 0)
+            if span is not None:
+                obs.TRACES.finish(span, status="ok" if response.error is None else "error")
+                span = None
+            yield from chunks.finish(response)
+        finally:
+            if span is not None:  # the consumer abandoned the stream mid-flight
+                obs.TRACES.finish(span, status="error")
 
     # -- deployment lifecycle -----------------------------------------------------------
     def deploy(self, ref: str) -> str:
@@ -931,9 +673,7 @@ class ShardedServer:
                 for fd in inherited:
                     with contextlib.suppress(OSError):
                         os.close(fd)
-                _shard_run(
-                    slot.name, generation, self._registry_path, refs, in_read, out_write, self.config
-                )
+                run_shard(slot.name, generation, self._registry_path, refs, in_read, out_write, self.config)
             finally:
                 os._exit(1)
         os.close(in_read)
@@ -1264,8 +1004,8 @@ class ShardedServer:
             groups: dict[str, list[Job]] = {}
             for item in await collect_batch(slot.queue, window, idle=lambda: not slot.pending):
                 groups.setdefault(item.deployment.deployment_id, []).append(item)
-            # One frame per unit: plain jobs share a serve frame, but every
-            # streaming job is its own stream frame (its chunk frames must
+            # One serve frame per unit: plain jobs share one, but every
+            # streaming job is a frame of its own (its chunk frames must
             # interleave on the reply pipe, so streams never share a batch).
             # Each unit takes one inflight-semaphore slot, matching the one
             # release its result (or its shard's death) will produce.
@@ -1313,12 +1053,6 @@ class ShardedServer:
                 wires.append(wire)
         slot.pending[seq] = _PendingBatch(jobs, dispatched_at=now, spans=spans)
         slot.dispatched += len(jobs)
-        if len(jobs) == 1 and jobs[0].on_text is not None:
-            self._send(
-                slot,
-                {"type": "stream", "seq": seq, "deployment": deployment, "request": wires[0]},
-            )
-            return
         self._send(
             slot,
             {
@@ -1326,6 +1060,8 @@ class ShardedServer:
                 "seq": seq,
                 "deployment": deployment,
                 "requests": wires,
+                # a streaming job always travels alone (see _collect)
+                "stream": jobs[0].on_text is not None,
             },
         )
 

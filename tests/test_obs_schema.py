@@ -26,6 +26,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 INSTRUMENTED_SOURCES = (
     "src/repro/serving/server.py",
     "src/repro/serving/sharded.py",
+    "src/repro/serving/shard_worker.py",
     "src/repro/serving/pipeline.py",
     "src/repro/serving/continuous.py",
     "src/repro/nn/decode_cache.py",

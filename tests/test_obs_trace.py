@@ -231,6 +231,29 @@ class TestEndToEndTrace:
         # every finished span is timed and terminal
         assert all(span.duration_s is not None and span.status == "ok" for span in spans)
 
+    def test_abandoned_sharded_stream_keeps_its_root_as_an_error(self, tracing, tmp_path):
+        registry_path, ref = _register_corpus_deployment(tmp_path)
+        config = ShardConfig(num_shards=1, heartbeat_timeout_ms=10000.0)
+        with ShardedServer(registry_path, ref, config) as server:
+            stream = server.stream(Request(task="corpus_qa", question="what does the bar chart of metric3 show"))
+            first = next(stream)
+            stream.close()  # the consumer leaves after one chunk
+            assert not first.final
+            trace_id = first.trace["trace_id"]
+            # The job runs on after the consumer leaves; its shard spans land
+            # with the result frame.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if SPAN_GATEWAY_DISPATCH in {span.name for span in obs.TRACES.spans(trace_id)}:
+                    break
+                time.sleep(0.01)
+        spans = obs.TRACES.spans(trace_id)
+        assert {SPAN_GATEWAY_DISPATCH, SPAN_SHARD_SERVE, SPAN_DECODE_STEP} <= {span.name for span in spans}
+        roots = [span for span in spans if span.parent_id is None]
+        assert [(root.name, root.status) for root in roots] == [(SPAN_GATEWAY_REQUEST, "error")]
+        ids = {span.span_id for span in spans}
+        assert all(span.parent_id in ids for span in spans if span.parent_id is not None)
+
     def test_untraced_requests_stay_untraced(self, tmp_path):
         # tracing is off by default: no spans recorded, no trace on the wire
         obs.TRACES.clear()

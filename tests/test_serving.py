@@ -20,7 +20,6 @@ from repro.serving import (
     ERROR_BACKEND,
     ERROR_INVALID_REQUEST,
     LRUCache,
-    MicroBatcher,
     Pipeline,
     PipelineConfig,
     Request,
@@ -124,46 +123,59 @@ class TestLRUCache:
         assert normalize_key("a b", "c") != normalize_key("a", "b c")
 
 
-# -- micro-batcher --------------------------------------------------------------------
+# -- batching -----------------------------------------------------------------------
 
 
-class TestMicroBatcher:
-    def test_results_align_with_submission_order(self):
-        batcher = MicroBatcher(lambda items: [item * 2 for item in items], max_batch_size=3)
-        assert batcher.run(list(range(10))) == [2 * i for i in range(10)]
+def _spy_backend_batches(pipeline: Pipeline, task: str, monkeypatch) -> list[int]:
+    """Record the size of every batch ``task``'s backend is asked to answer."""
+    backend = pipeline.backend(task)
+    sizes: list[int] = []
+    original = backend.predict_many
 
-    def test_auto_flush_on_full_batch(self):
-        seen_batches = []
+    def predict_many(items, *args, **kwargs):
+        sizes.append(len(items))
+        return original(items, *args, **kwargs)
 
-        def batch_fn(items):
-            seen_batches.append(list(items))
-            return items
+    monkeypatch.setattr(backend, "predict_many", predict_many)
+    return sizes
 
-        batcher = MicroBatcher(batch_fn, max_batch_size=4)
-        tickets = [batcher.submit(i) for i in range(9)]
-        assert seen_batches == [[0, 1, 2, 3], [4, 5, 6, 7]]  # two auto-flushes
-        assert batcher.pending == 1
-        assert not tickets[8].ready
-        batcher.flush()
-        assert tickets[8].ready and tickets[8].value == 8
-        assert batcher.stats()["num_batches"] == 3
-        assert batcher.stats()["num_full_batches"] == 2
 
-    def test_reading_unready_ticket_raises(self):
-        batcher = MicroBatcher(lambda items: items, max_batch_size=8)
-        ticket = batcher.submit("x")
+class TestPipelineBatching:
+    def test_results_align_with_submission_order(self, small_pool, nvbench, mixed_requests, monkeypatch):
+        pipeline = _baseline_pipeline(small_pool, nvbench, max_batch_size=3)
+        sizes = _spy_backend_batches(pipeline, "fevisqa", monkeypatch)
+        responses = pipeline.serve(mixed_requests)
+        assert [r.task for r in responses] == [r.task for r in mixed_requests]
+        solo = _baseline_pipeline(small_pool, nvbench)
+        assert [r.output for r in responses] == [solo.submit(request).output for request in mixed_requests]
+        assert sizes and max(sizes) <= 3
+
+    def test_misses_split_into_batches_of_max_batch_size(self, small_pool, nvbench, monkeypatch):
+        pipeline = _baseline_pipeline(small_pool, nvbench, max_batch_size=4)
+        sizes = _spy_backend_batches(pipeline, "vis_to_text", monkeypatch)
+        examples = nvbench.examples[:9]
+        requests = [
+            Request(task="vis_to_text", chart=example.query, schema=small_pool.get(example.db_id).schema)
+            for example in examples
+        ]
+        unique = len({pipeline.prepare(request).key for request in requests})
+        pipeline.serve(requests)
+        assert sum(sizes) == unique
+        assert sizes == [4] * (unique // 4) + ([unique % 4] if unique % 4 else [])
+
+    def test_misaligned_backend_output_is_a_backend_error(self, small_pool, nvbench, monkeypatch):
+        pipeline = _baseline_pipeline(small_pool, nvbench)
+        backend = pipeline.backend("fevisqa")
+        monkeypatch.setattr(backend, "predict_many", lambda sources: [])
+        request = Request(task="fevisqa", question="how many bars are there ?", chart=nvbench.examples[0].query)
         with pytest.raises(ServingStateError):
-            _ = ticket.value
-
-    def test_misaligned_batch_fn_rejected(self):
-        batcher = MicroBatcher(lambda items: items[:-1], max_batch_size=8)
-        batcher.submit("x")
-        with pytest.raises(ServingStateError):
-            batcher.flush()
+            pipeline.serve([request])
+        [response] = pipeline.serve([request], strict=False)
+        assert response.error == ERROR_BACKEND and response.output == ""
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ModelConfigError):
-            MicroBatcher(lambda items: items, max_batch_size=0)
+            PipelineConfig(max_batch_size=0)
 
 
 # -- registry -------------------------------------------------------------------------
@@ -222,15 +234,16 @@ class TestRegistry:
 
 
 class TestPipeline:
-    def test_batched_equals_sequential_for_mixed_burst(self, small_pool, nvbench, mixed_requests):
+    def test_batched_equals_sequential_for_mixed_burst(self, small_pool, nvbench, mixed_requests, monkeypatch):
         batched = _baseline_pipeline(small_pool, nvbench, max_batch_size=4)
         sequential = _baseline_pipeline(small_pool, nvbench, max_batch_size=4)
+        tasks = ("text_to_vis", "vis_to_text", "fevisqa")
+        calls = [_spy_backend_batches(batched, task, monkeypatch) for task in tasks]
         batch_responses = batched.serve(mixed_requests)
         sequential_responses = [sequential.submit(request) for request in mixed_requests]
         assert [r.output for r in batch_responses] == [r.output for r in sequential_responses]
-        # the burst actually amortized: fewer batches than items
-        stats = batched.stats()["batching"]
-        assert sum(s["num_batches"] for s in stats.values()) < len(mixed_requests)
+        # the burst actually amortized: fewer backend calls than items
+        assert sum(len(sizes) for sizes in calls) < len(mixed_requests)
 
     def test_neural_batched_equals_sequential(self, small_pool, nvbench, mixed_requests):
         config = DataVisT5Config.from_preset(
@@ -289,14 +302,15 @@ class TestPipeline:
         shouted = pipeline.text_to_vis("  " + example.question.upper() + "  ", schema)
         assert shouted.cached
 
-    def test_duplicates_within_one_burst_hit_backend_once(self, small_pool, nvbench):
+    def test_duplicates_within_one_burst_hit_backend_once(self, small_pool, nvbench, monkeypatch):
         pipeline = _baseline_pipeline(small_pool, nvbench, max_batch_size=8)
+        sizes = _spy_backend_batches(pipeline, "text_to_vis", monkeypatch)
         example = nvbench.examples[0]
         schema = small_pool.get(example.db_id).schema
         request = Request(task="text_to_vis", question=example.question, schema=schema)
         responses = pipeline.serve([request, request, request])
         assert [r.cached for r in responses] == [False, True, True]
-        assert pipeline.stats()["batching"]["text_to_vis"]["num_items"] == 1
+        assert sizes == [1]
 
     def test_response_cache_eviction(self, small_pool, nvbench):
         pipeline = _baseline_pipeline(small_pool, nvbench, response_cache_size=2)
@@ -485,14 +499,16 @@ class TestPipeline:
         assert response.query is None
         assert response.valid is False
 
-    def test_serve_preserves_order_with_cache_hits_and_rejections(self, small_pool, nvbench):
+    def test_serve_preserves_order_with_cache_hits_and_rejections(self, small_pool, nvbench, monkeypatch):
         """Regression: a burst mixing hits, misses and rejected requests keeps input order.
 
         Every slot must hold the response for its own request — cache hits
         must not shift positions and a mid-burst rejection must consume its
-        own slot only — and ``stats()`` must account each category once.
+        own slot only — and each backend must see each category once.
         """
         pipeline = _baseline_pipeline(small_pool, nvbench)
+        t2v_sizes = _spy_backend_batches(pipeline, "text_to_vis", monkeypatch)
+        v2t_sizes = _spy_backend_batches(pipeline, "vis_to_text", monkeypatch)
         first, second = nvbench.examples[:2]
         schema_a = small_pool.get(first.db_id).schema
         schema_b = small_pool.get(second.db_id).schema
@@ -511,16 +527,15 @@ class TestPipeline:
         assert responses[0].output == responses[2].output
         assert responses[3].task == "vis_to_text"
         assert responses[1].output == "" and responses[1].detail
-        stats = pipeline.stats()
         # the duplicate and the rejected request never reach a backend
-        assert stats["batching"]["text_to_vis"]["num_items"] == 1
-        assert stats["batching"]["vis_to_text"]["num_items"] == 1
+        assert t2v_sizes == [1]
+        assert v2t_sizes == [1]
         # replaying the burst serves every good slot from cache, same order
         replay = pipeline.serve(burst, strict=False)
         assert [r.error for r in replay] == [None, ERROR_INVALID_REQUEST, None, None]
         assert [r.cached for r in replay] == [True, False, True, True]
         assert [r.output for r in replay] == [r.output for r in responses]
-        assert pipeline.stats()["batching"]["text_to_vis"]["num_items"] == 1
+        assert t2v_sizes == [1] and v2t_sizes == [1]
 
     def test_serve_strict_raises_on_unpreparable_request(self, small_pool, nvbench):
         pipeline = _baseline_pipeline(small_pool, nvbench)
