@@ -93,6 +93,25 @@ class RelativePositionBias(Module):
 
         return cast_cached(self, f"decode_row:{key_length}", self.embedding.data, dtype, transform=row)
 
+    def square(self, length: int, dtype) -> np.ndarray:
+        """The full ``(1, num_heads, length, length)`` bias as a ``dtype`` array.
+
+        Bitwise ``forward(length, length)`` under that compute dtype.  A bias
+        entry depends only on the distance between its two positions, so the
+        bias for ``length`` is the top-left block of any larger one: one
+        :func:`cast_cached` block is memoized per power-of-two size and
+        sliced, which bounds the memo to 4/3 of the largest block (0.7 MB in
+        float64 for 4 heads and sources up to 128 tokens).
+        """
+        size = 1 << (length - 1).bit_length()
+
+        def block(table: np.ndarray) -> np.ndarray:
+            positions = np.arange(size)
+            buckets = self._bucket(positions[None, :] - positions[:, None])
+            return table[buckets].transpose(2, 0, 1).reshape(1, self.num_heads, size, size)
+
+        return cast_cached(self, f"square:{size}", self.embedding.data, dtype, transform=block)[:, :, :length, :length]
+
 
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over several heads, with optional position bias."""
@@ -160,6 +179,37 @@ class MultiHeadAttention(Module):
             return output, weights
         return output
 
+    def forward_array(
+        self,
+        query: np.ndarray,
+        key: np.ndarray,
+        value: np.ndarray,
+        mask: np.ndarray | None = None,
+        position_bias: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Eval-mode :meth:`forward` on plain arrays whose dtype is the compute dtype.
+
+        Full-sequence attention (the encoder's self-attention): the numpy
+        calls of :meth:`forward` in the same order and dtype, so the output is
+        bitwise the module path's.  ``mask`` is a boolean keep mask
+        broadcastable to ``(batch, 1, query_length, key_length)``.  The paged
+        decode step attends through :meth:`attend_rows` instead.
+        Inference-only (no dropout).
+        """
+        if self.training:
+            raise ModelConfigError("forward_array is an inference-only fast path; call eval() first")
+        q = self._split_heads(self.q_proj.forward_array(query))
+        k = self._split_heads(self.k_proj.forward_array(key))
+        v = self._split_heads(self.v_proj.forward_array(value))
+        scalar = q.dtype.type
+        scores = (q @ k.swapaxes(-1, -2)) * scalar(1.0 / np.sqrt(self.head_dim))
+        if position_bias is not None:
+            scores = scores + position_bias
+        if mask is not None:
+            scores = np.where(mask, scores, scalar(-1e9))
+        exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        return self.out_proj.forward_array(self._merge_heads((exps / exps.sum(axis=-1, keepdims=True)) @ v))
+
     # -- paged decode fast path ----------------------------------------------------------
     # The paged decode attends each sequence over its *own* exact-length
     # K/V history, because padding histories to a common length changes
@@ -168,21 +218,22 @@ class MultiHeadAttention(Module):
     # numpy's matmul runs one inner kernel per ``(row, head)`` whatever the
     # outer shape, so a stacked bucket is bitwise the per-row loop.
 
-    def project_static_kv(self, states: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    def project_static_kv(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project encoder ``states`` into split-head ``(batch, heads, source, head_dim)`` K/V arrays.
 
-        Bitwise the keys and values :meth:`forward` attends over for these
-        states.  The paged decode projects cross-attention K/V once per
-        encoder pass with this and keeps each row's slice beside its page
-        table.  Decode-only.
+        ``states`` is a plain array of the compute dtype (the encoder's
+        ``forward_array`` output); the result is bitwise the keys and values
+        :meth:`forward` attends over for those states.  The paged decode
+        projects cross-attention K/V once per encoder pass with this and
+        keeps each row's slice beside its page table.  Decode-only.
         """
         if grad_enabled():
             raise ModelConfigError(
                 "project_static_kv is a decode-only fast path; run it under no_grad()"
             )
         return (
-            self._split_heads(self.k_proj(states)).numpy(),
-            self._split_heads(self.v_proj(states)).numpy(),
+            self._split_heads(self.k_proj.forward_array(states)),
+            self._split_heads(self.v_proj.forward_array(states)),
         )
 
     def attend_rows(

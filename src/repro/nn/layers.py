@@ -580,15 +580,22 @@ class Embedding(Module):
         self.weight.requires_grad = False
         self.invalidate_cast_caches()
 
-    def forward(self, ids: np.ndarray) -> Tensor:
-        """Look up the vectors for ``ids`` (any integer array shape)."""
+    def _checked_ids(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise ModelConfigError(
                 f"token id outside embedding range [0, {self.num_embeddings}): "
                 f"min={ids.min() if ids.size else None}, max={ids.max() if ids.size else None}"
             )
-        return self.weight.embedding_lookup(ids)
+        return ids
+
+    def forward(self, ids: np.ndarray) -> Tensor:
+        """Look up the vectors for ``ids`` (any integer array shape)."""
+        return self.weight.embedding_lookup(self._checked_ids(ids))
+
+    def forward_array(self, ids: np.ndarray, dtype) -> np.ndarray:
+        """:meth:`forward` as a plain ``dtype`` array: the float64 rows, cast once, as the module path does."""
+        return np.asarray(self.weight.data[self._checked_ids(ids)], dtype=dtype)
 
 
 class RMSNorm(Module):

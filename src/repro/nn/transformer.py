@@ -17,8 +17,9 @@ the whole prefix every step are kept behind ``use_cache=False`` as the
 reference the decode-equivalence suites check against.
 
 Inference precision is a :meth:`T5Model.generate` knob: ``dtype="float32"``
-runs the whole decode (encoder pass included) under
-:func:`repro.nn.tensor.autocast`, and :meth:`T5Model.quantize_int8` converts
+runs the whole decode (encoder pass included) in float32 — the paged path on
+float32 arrays, the reference loops under :func:`repro.nn.tensor.autocast` —
+and :meth:`T5Model.quantize_int8` converts
 every projection weight and the shared embedding to symmetric int8 storage.
 Training always stays float64 — see ``docs/numerics.md``.
 """
@@ -36,7 +37,7 @@ from repro.nn import functional as F
 from repro.nn.attention import MultiHeadAttention, RelativePositionBias
 from repro.nn.decode_cache import PagedKVArena, PagedSequence
 from repro.nn.layers import Dropout, Embedding, FeedForward, Module, RMSNorm, cast_cached
-from repro.nn.tensor import Tensor, autocast, compute_dtype, no_grad
+from repro.nn.tensor import Tensor, autocast, compute_dtype, no_grad, resolve_dtype
 from repro.utils.rng import derive_seed, seeded_rng
 
 
@@ -92,6 +93,12 @@ class EncoderLayer(Module):
         normed = self.norm_feed_forward(hidden)
         hidden = hidden + self.dropout(self.feed_forward(normed))
         return hidden
+
+    def forward_array(self, hidden: np.ndarray, mask: np.ndarray | None, position_bias: np.ndarray | None) -> np.ndarray:
+        """Eval-mode :meth:`forward` on plain arrays (dropout is the identity there)."""
+        normed = self.norm_attention.forward_array(hidden)
+        hidden = hidden + self.self_attention.forward_array(normed, normed, normed, mask, position_bias)
+        return hidden + self.feed_forward.forward_array(self.norm_feed_forward.forward_array(hidden))
 
 
 class DecoderLayer(Module):
@@ -158,6 +165,21 @@ class TransformerEncoder(Module):
         for layer in self.layers:
             hidden = layer(hidden, keep, bias)
         return self.final_norm(hidden)
+
+    def forward_array(self, input_ids: np.ndarray, attention_mask: np.ndarray, dtype) -> np.ndarray:
+        """Eval-mode :meth:`forward` as a plain ``dtype`` array, bitwise the module path's floats.
+
+        Every layer runs its ``forward_array`` twin and the position bias is
+        the memoized :meth:`~repro.nn.attention.RelativePositionBias.square`
+        block, so no :class:`~repro.nn.tensor.Tensor` is built.
+        """
+        input_ids = np.asarray(input_ids, dtype=np.int64)
+        hidden = self.embedding.forward_array(input_ids, dtype)
+        bias = self.position_bias.square(input_ids.shape[1], hidden.dtype)
+        keep = np.asarray(attention_mask, dtype=bool)[:, None, None, :]  # (B, 1, 1, T)
+        for layer in self.layers:
+            hidden = layer.forward_array(hidden, keep, bias)
+        return self.final_norm.forward_array(hidden)
 
 
 class TransformerDecoder(Module):
@@ -260,25 +282,33 @@ class T5Model(Module):
             output["loss"] = F.sequence_cross_entropy(logits, labels, pad_id=self.config.pad_id)
         return output
 
-    def lm_logits(self, decoder_hidden: Tensor) -> Tensor:
-        """Project decoder states onto the vocabulary with the tied embedding."""
+    def lm_logits(self, decoder_hidden: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """Project decoder states onto the vocabulary with the tied embedding.
+
+        A :class:`Tensor` runs the module path in the active compute dtype; a
+        plain array (the paged decode step's) runs the same numpy calls in
+        its own dtype and returns an array.
+        """
         scale = self.config.d_model**-0.5
+        array = isinstance(decoder_hidden, np.ndarray)
+        hidden = decoder_hidden if array else decoder_hidden.data
         # Calibration attaches an observer to the shared embedding to record
         # the tied head's *input* activations (repro.nn.calibration) — the
         # embedding's quantization error hurts decoding through this
         # projection, so its equalization is driven by these channels.
         observer = self.shared_embedding.__dict__.get("_activation_observer")
         if observer is not None:
-            observer.update(decoder_hidden.data * scale)
-        dtype = compute_dtype()
+            observer.update(hidden * scale)
+        weight = self.shared_embedding.weight
+        dtype = hidden.dtype if array else compute_dtype()
         if dtype == np.float64:
-            return (decoder_hidden * scale) @ self.shared_embedding.weight.transpose()
-        # Reduced-precision decode hits this projection once per step, so the
-        # transposed cast of the (V, D) master is memoized on the embedding.
-        projection = cast_cached(
-            self.shared_embedding, "lm_projection", self.shared_embedding.weight.data, dtype, transform=np.transpose
-        )
-        return (decoder_hidden * scale) @ Tensor(projection)
+            projection = weight.data.T if array else weight.transpose()
+        else:
+            # Reduced-precision decode hits this projection once per step, so
+            # the transposed cast of the (V, D) master is memoized on the embedding.
+            projection = cast_cached(self.shared_embedding, "lm_projection", weight.data, dtype, transform=np.transpose)
+            projection = projection if array else Tensor(projection)
+        return (hidden * dtype.type(scale) if array else decoder_hidden * scale) @ projection
 
     # -- quantization ------------------------------------------------------------
     @property
@@ -317,7 +347,8 @@ class T5Model(Module):
 
         ``dtype`` selects the inference compute dtype (``"float64"`` or
         ``"float32"``); the whole generation — encoder pass, decode steps, KV
-        pages — runs under :func:`repro.nn.tensor.autocast` with it.
+        pages — computes in it (the reference loops under
+        :func:`repro.nn.tensor.autocast`).
         Reduced precision can flip near-tied argmax decisions, so fp32 output
         agrees with fp64 to a high but not bitwise rate; the precision tests
         gate it (see ``docs/numerics.md``).
@@ -521,10 +552,11 @@ class PagedDecodeBatch:
     and break bitwise equality; see
     :meth:`~repro.nn.attention.MultiHeadAttention.attend_rows`).
 
-    **The step is array-level.**  :meth:`step` runs the decoder layers on
+    **Inference is array-level.**  :meth:`admit` runs the encoder and
+    :meth:`step` the decoder layers, embedding lookup and tied LM head on
     plain arrays through each module's ``forward_array`` twin — the numpy
     calls of the module path in the same order and dtype, no
-    :class:`~repro.nn.tensor.Tensor` in the layer loop.  The per-row
+    :class:`~repro.nn.tensor.Tensor` anywhere.  The per-row
     projections stay ``(rows, 1, d)`` stacks, never one 2-D GEMM: BLAS may
     round a GEMM row differently from the lone row's product, and again
     differently as the row count changes.  Weights are read from the modules
@@ -534,9 +566,8 @@ class PagedDecodeBatch:
     (:mod:`repro.nn.calibration`) see each projection's input as usual.
     :meth:`close` releases every live sequence's pages.
 
-    Inference-only: the model must be in eval mode, and every pass runs
-    under :func:`~repro.nn.tensor.no_grad` + :func:`~repro.nn.tensor.autocast`
-    with the ``dtype`` fixed at construction.
+    Inference-only: the model must be in eval mode, and every pass computes
+    in the ``dtype`` fixed at construction.
     """
 
     def __init__(self, model: "T5Model", max_slots: int = 8, page_size: int = 16, dtype: str = "float64"):
@@ -547,7 +578,7 @@ class PagedDecodeBatch:
         config = model.config
         self.model = model
         self.max_slots = max_slots
-        self.dtype = dtype
+        self.dtype = resolve_dtype(dtype)
         self.arena = PagedKVArena(
             num_layers=len(model.decoder.layers),
             num_heads=config.num_heads,
@@ -646,8 +677,8 @@ class PagedDecodeBatch:
         entries are ``(1, ...)`` views into those arrays.
         """
         attention_mask = input_ids != self.model.config.pad_id
-        with autocast(self.dtype), no_grad():
-            encoder_hidden = self.model.encoder(input_ids, attention_mask)
+        with no_grad():
+            encoder_hidden = self.model.encoder.forward_array(input_ids, attention_mask, self.dtype)
             projected = [layer.cross_attention.project_static_kv(encoder_hidden) for layer in self.model.decoder.layers]
         return [
             (
@@ -693,33 +724,31 @@ class PagedDecodeBatch:
         cross_order, cross_buckets = _bucket_rows([slot.cross_mask.shape[-1] for slot in active])
         cross = self._stacked_cross(active, cross_buckets)
         cross_masks = [mask for _, _, mask in cross]
-        with autocast(self.dtype), no_grad():
-            step_ids = np.asarray([[slot.last_token] for slot in active], dtype=np.int64)
-            hidden = decoder.embedding(step_ids).data
-            biases = [
-                decoder.position_bias.decode_row(active[bucket[0]].sequence.length + 1, hidden.dtype)
-                for bucket in self_buckets
-            ]
-            for index, layer in enumerate(decoder.layers):
-                attention = layer.self_attention
-                normed = layer.norm_self.forward_array(hidden)
-                q = attention._split_heads(attention.q_proj.forward_array(normed))
-                k_new = attention._split_heads(attention.k_proj.forward_array(normed))
-                v_new = attention._split_heads(attention.v_proj.forward_array(normed))
-                self.arena.append_rows(index, [slot.sequence for slot in active], k_new, v_new)
-                keys, values = zip(
-                    *(self.arena.gather(index, [active[row].sequence for row in bucket]) for bucket in self_buckets)
-                )
-                hidden = hidden + _attend_rows(attention, self_order, q, keys, values, None, biases)
-                attention = layer.cross_attention
-                normed = layer.norm_cross.forward_array(hidden)
-                q = attention._split_heads(attention.q_proj.forward_array(normed))
-                keys, values = [k[index] for k, _, _ in cross], [v[index] for _, v, _ in cross]
-                hidden = hidden + _attend_rows(attention, cross_order, q, keys, values, cross_masks, None)
-                hidden = hidden + layer.feed_forward.forward_array(layer.norm_feed_forward.forward_array(hidden))
-            hidden = decoder.final_norm.forward_array(hidden)
-            logits = self.model.lm_logits(Tensor(hidden)).numpy()[:, -1, :]
-        return active, logits
+        step_ids = np.asarray([[slot.last_token] for slot in active], dtype=np.int64)
+        hidden = decoder.embedding.forward_array(step_ids, self.dtype)
+        biases = [
+            decoder.position_bias.decode_row(active[bucket[0]].sequence.length + 1, hidden.dtype)
+            for bucket in self_buckets
+        ]
+        for index, layer in enumerate(decoder.layers):
+            attention = layer.self_attention
+            normed = layer.norm_self.forward_array(hidden)
+            q = attention._split_heads(attention.q_proj.forward_array(normed))
+            k_new = attention._split_heads(attention.k_proj.forward_array(normed))
+            v_new = attention._split_heads(attention.v_proj.forward_array(normed))
+            self.arena.append_rows(index, [slot.sequence for slot in active], k_new, v_new)
+            keys, values = zip(
+                *(self.arena.gather(index, [active[row].sequence for row in bucket]) for bucket in self_buckets)
+            )
+            hidden = hidden + _attend_rows(attention, self_order, q, keys, values, None, biases)
+            attention = layer.cross_attention
+            normed = layer.norm_cross.forward_array(hidden)
+            q = attention._split_heads(attention.q_proj.forward_array(normed))
+            keys, values = [k[index] for k, _, _ in cross], [v[index] for _, v, _ in cross]
+            hidden = hidden + _attend_rows(attention, cross_order, q, keys, values, cross_masks, None)
+            hidden = hidden + layer.feed_forward.forward_array(layer.norm_feed_forward.forward_array(hidden))
+        hidden = decoder.final_norm.forward_array(hidden)
+        return active, self.model.lm_logits(hidden)[:, -1, :]
 
     def _stacked_cross(self, active: list[_PagedSlot], buckets: list[list[int]]) -> list[tuple]:
         """Each source-length bucket's ``(keys per layer, values per layer, mask)``.

@@ -244,6 +244,20 @@ class ShardConfig:
         return BatchWindow(max_batch=self.max_batch, max_wait_ms=self.max_wait_ms)
 
 
+def _with_own_spec(payload: dict) -> dict:
+    """A shallow copy of a response payload holding its own deep copy of the Vega-Lite spec.
+
+    The gateway cache entry, the owner's response and every replay must not
+    share one spec dict: a caller editing its response's spec would
+    otherwise edit every later hit (the tier-local twin of
+    ``Pipeline.response_from``).
+    """
+    copied = dict(payload)
+    if copied.get("vega_lite") is not None:
+        copied["vega_lite"] = copy.deepcopy(copied["vega_lite"])
+    return copied
+
+
 class _Ticket:
     """The gateway's view of one request: its wire form and identities.
 
@@ -1093,14 +1107,6 @@ class ShardedServer:
 
     # -- delivery and accounting --------------------------------------------------------
     def _deliver(self, slot: _Slot, job: Job, payload: dict) -> None:
-        if payload.get("error") is None:
-            stored = dict(payload)
-            # Shard-placement telemetry is per-delivery and must not replay,
-            # but pipeline stage artifacts (corpus_qa retrieval/merge) are a
-            # deterministic function of the request — keep those.
-            stages = (payload.get("telemetry") or {}).get("stages")
-            stored["telemetry"] = {"stages": copy.deepcopy(stages)} if stages is not None else None
-            self._cache.put(job.ticket.key, stored)
         enriched = dict(payload)
         telemetry = dict(enriched.get("telemetry") or {})
         # Spans the shard shipped back move into the gateway's trace store —
@@ -1117,6 +1123,15 @@ class ShardedServer:
         except ReproError as error:
             self._fail_job(job, ERROR_SHARD_FAILED, f"undecodable shard response: {error}")
             return
+        if payload.get("error") is None:
+            # Cached only once it decodes, so a hit can always be replayed.
+            # Shard-placement telemetry is per-delivery and must not replay,
+            # but pipeline stage artifacts (corpus_qa retrieval/merge) are a
+            # deterministic function of the request — keep those.
+            stored = _with_own_spec(payload)
+            stages = (payload.get("telemetry") or {}).get("stages")
+            stored["telemetry"] = {"stages": copy.deepcopy(stages)} if stages is not None else None
+            self._cache.put(job.ticket.key, stored)
         self._gateway.resolve(job, Outcome(response.output, response.error, response.detail, payload=response))
 
     def _fail_job(self, job: Job, code: str, detail: str) -> None:
@@ -1223,7 +1238,7 @@ class ShardedServer:
         return response
 
     def _replay(self, payload: dict, request: Request, cached_hit: bool, via: str) -> Response:
-        replayed = dict(payload)
+        replayed = _with_own_spec(payload)
         replayed["request_id"] = request.request_id
         if cached_hit:
             replayed["cached"] = True

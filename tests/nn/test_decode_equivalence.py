@@ -274,7 +274,7 @@ class TestCacheMechanics:
         batch.admit(source, max_length=len(target))
         seen: list[np.ndarray] = []
         original = model.lm_logits
-        model.lm_logits = lambda hidden: seen.append(hidden.data.copy()) or original(hidden)
+        model.lm_logits = lambda hidden: seen.append(np.array(hidden)) or original(hidden)
         try:
             for token in target:
                 (slot,) = [slot for slot in batch._slots if slot is not None]

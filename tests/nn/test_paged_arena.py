@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelConfigError
 from repro.nn.decode_cache import PagedKVArena
-from repro.nn.tensor import Tensor
 from repro.nn.transformer import PagedDecodeBatch, T5Model, TransformerConfig
 
 PAD, EOS = 0, 1
@@ -267,12 +266,12 @@ class TestGenerateReturnsEveryPage:
         calls = []
 
         def poisoned(hidden):
-            logits = original(hidden).numpy()
+            logits = original(hidden)
             calls.append(len(calls))
             if len(calls) > 2:
                 bad = np.full(logits.shape[:-1] + (1,), 1e9, dtype=logits.dtype)
                 logits = np.concatenate([logits, bad], axis=-1)
-            return Tensor(logits)
+            return logits
 
         monkeypatch.setattr(model, "lm_logits", poisoned)
         with pytest.raises(ModelConfigError, match="embedding range"):

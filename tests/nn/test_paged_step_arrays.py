@@ -1,9 +1,14 @@
-"""The array-level paged decode step, float for float.
+"""The array-level paged decode path, float for float.
 
-``PagedDecodeBatch.step`` runs the decoder layers on plain ndarrays, and
-``generate`` drives it for every cached decode.  Three contracts keep that
-honest:
+``PagedDecodeBatch.admit`` runs the encoder and ``PagedDecodeBatch.step``
+the decoder layers on plain ndarrays, and ``generate`` drives both for every
+cached decode.  These contracts keep that honest:
 
+* **Encoder identity** — the encoder states and cross-attention K/V an
+  admission computes are ``np.array_equal`` (dtype included) to the module
+  path's (``model.encoder`` under ``autocast``, then each cross-attention's
+  ``k_proj``/``v_proj``), and the memoized square position bias is
+  ``RelativePositionBias.forward`` sliced.
 * **Float identity** — at every step the hidden state handed to
   ``T5Model.lm_logits`` for each live row is ``np.array_equal`` (dtype
   included) to what the same row gets decoding alone in its own one-slot
@@ -15,6 +20,7 @@ honest:
 * **Observers are fed** — an activation observer attached to a projection the
   step reads sees that projection's input exactly as ``Linear.forward``
   feeds it on the module path (encoder, full decoder pass, LM head).
+* **No Tensor** — once warm, admissions and steps build no autograd object.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DataVisT5Config
 from repro.core.model import DataVisT5
-from repro.nn.attention import MultiHeadAttention
+from repro.nn.attention import MultiHeadAttention, RelativePositionBias
 from repro.nn.calibration import observe_activations
 from repro.nn.optim import Adam
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import Tensor, autocast, no_grad
 from repro.nn.transformer import T5Model, TransformerConfig
 from repro.serving import continuous_loop_for
 
@@ -38,13 +44,13 @@ PAD = 0
 _MODEL_CACHE: dict[tuple, T5Model] = {}
 
 
-def build_model(activation="relu", num_layers=1, seed=0, eos_id=1) -> T5Model:
+def build_model(activation="relu", num_layers=1, seed=0, eos_id=1, int8=False, d_model=8) -> T5Model:
     """A tiny eval-mode model, memoized so hypothesis examples share weights."""
-    key = (activation, num_layers, seed, eos_id)
+    key = (activation, num_layers, seed, eos_id, int8, d_model)
     if key not in _MODEL_CACHE:
         config = TransformerConfig(
             vocab_size=24,
-            d_model=8,
+            d_model=d_model,
             num_heads=2,
             d_ff=16,
             num_encoder_layers=num_layers,
@@ -54,6 +60,8 @@ def build_model(activation="relu", num_layers=1, seed=0, eos_id=1) -> T5Model:
             seed=seed,
         )
         _MODEL_CACHE[key] = T5Model(config).eval()
+        if int8:
+            _MODEL_CACHE[key].quantize_int8()
     return _MODEL_CACHE[key]
 
 
@@ -64,7 +72,7 @@ def lm_head_inputs(model: T5Model):
     original = model.lm_logits
 
     def spy(decoder_hidden):
-        seen.append(decoder_hidden.data.copy())
+        seen.append(np.array(decoder_hidden))
         return original(decoder_hidden)
 
     model.lm_logits = spy
@@ -235,6 +243,161 @@ class TestFloatIdentity:
         assert len(batch._cross_stacks) == 1
         batch.step()  # both remaining rows reach their budgets
         assert batch.active_count == 0 and batch._cross_stacks == {}
+
+
+@contextmanager
+def encoder_states(model: T5Model):
+    """Record every encoder-state array the paged path's encoder pass returns."""
+    seen: list[np.ndarray] = []
+    original = model.encoder.forward_array
+
+    def spy(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    model.encoder.forward_array = spy
+    try:
+        yield seen
+    finally:
+        del model.encoder.forward_array
+
+
+def module_encode(model: T5Model, ids: np.ndarray, dtype: str):
+    """The module path's encoder states and per-layer cross K/V for ``ids``."""
+    with autocast(dtype), no_grad():
+        states = model.encoder(ids, ids != PAD)
+        projected = [
+            (
+                layer.cross_attention._split_heads(layer.cross_attention.k_proj(states)).numpy(),
+                layer.cross_attention._split_heads(layer.cross_attention.v_proj(states)).numpy(),
+            )
+            for layer in model.decoder.layers
+        ]
+    return states.numpy(), projected
+
+
+@st.composite
+def padded_sources(draw):
+    """A right-padded ``(rows, width)`` source batch, some rows with a PAD hole."""
+    count = draw(st.integers(min_value=1, max_value=4))
+    lengths = [draw(st.integers(min_value=1, max_value=9)) for _ in range(count)]
+    ids = np.full((count, max(lengths)), PAD, dtype=np.int64)
+    for row, length in enumerate(lengths):
+        ids[row, :length] = draw(st.lists(st.integers(min_value=2, max_value=23), min_size=length, max_size=length))
+        hole = draw(st.integers(min_value=-1, max_value=length - 1))
+        if hole > 0:
+            ids[row, hole] = PAD
+    return ids
+
+
+def assert_identical(got: np.ndarray, want: np.ndarray, dtype: str) -> None:
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert np.array_equal(got, want)
+
+
+class TestEncoderIdentity:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ids=padded_sources(),
+        dtype=st.sampled_from(["float64", "float32"]),
+        activation=st.sampled_from(["relu", "gelu"]),
+        num_layers=st.integers(min_value=1, max_value=2),
+        int8=st.booleans(),
+    )
+    def test_encode_equals_the_module_path(self, ids, dtype, activation, num_layers, int8):
+        """``_encode``'s encoder states and cross K/V, batch and per row, are the module path's.
+
+        Head size 6, so the attention scale is not a power of two and rounds."""
+        model = build_model(activation=activation, num_layers=num_layers, seed=4, int8=int8, d_model=12)
+        states, projected = module_encode(model, ids, dtype)
+        batch = model.paged_decode_batch(max_slots=1, dtype=dtype)
+        with encoder_states(model) as seen:
+            crosses = batch._encode(ids)
+        (got,) = seen
+        assert_identical(got, states, dtype)
+        for row, (keys, values, mask) in enumerate(crosses):
+            assert np.array_equal(mask, (ids[row] != PAD)[None, None, None, :])
+            for layer, (k, v) in enumerate(projected):
+                assert_identical(keys[layer], k[row : row + 1], dtype)
+                assert_identical(values[layer], v[row : row + 1], dtype)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("buckets, max_distance", [(16, 64), (32, 128)])
+    def test_square_bias_is_the_full_bias_sliced(self, dtype, buckets, max_distance):
+        """Every length 1..130 reads a slice of one memoized block per power-of-two size."""
+        bias = RelativePositionBias(num_heads=3, num_buckets=buckets, max_distance=max_distance, seed=1)
+        for length in range(1, 131):
+            with autocast(dtype):
+                want = bias(length, length).numpy()
+            assert_identical(bias.square(length, dtype), want, dtype)
+        assert sorted(bias._cast_cache) == sorted(f"square:{2**power}" for power in range(9))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_admission_after_load_state_dict_uses_the_new_bias_table(self, dtype):
+        model = build_model(activation="relu", num_layers=2, seed=8, eos_id=-1)
+        saved = model.state_dict()
+        row = np.array([5, 6, 7, 8, 9], dtype=np.int64)
+        batch = model.paged_decode_batch(max_slots=2, dtype=dtype)
+        try:
+            with encoder_states(model) as seen:
+                batch.admit(row, max_length=2)
+                state = dict(saved)
+                state["encoder.position_bias.embedding"] = saved["encoder.position_bias.embedding"][::-1] * 7.0
+                model.load_state_dict(state)
+                batch.admit(row, max_length=2)
+            before, after = seen
+            assert not np.array_equal(before, after)
+            assert_identical(after, module_encode(model, row[None], dtype)[0], dtype)
+        finally:
+            batch.close()
+            model.load_state_dict(saved)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_encoder_projection_observers_are_fed_as_on_the_module_path(self, dtype):
+        """Every encoder projection's observer sees, admission by admission, what ``Linear.forward`` feeds it."""
+        model = build_model(activation="gelu", num_layers=2, seed=2, eos_id=-1)
+        ids = np.array([[5, 9, PAD, 13], [7, 8, 10, PAD]], dtype=np.int64)
+
+        def record(run) -> dict[str, list[np.ndarray]]:
+            fed: dict[str, list[np.ndarray]] = {}
+            with observe_activations(model) as observers:
+                for name, observer in observers.items():
+                    observer.update = lambda values, sink=fed.setdefault(name, []): sink.append(np.array(values))
+                run()
+            return {name: inputs for name, inputs in fed.items() if name.startswith("encoder.")}
+
+        batch = model.paged_decode_batch(max_slots=2, dtype=dtype)
+        via_arrays = record(lambda: [batch.admit(row, max_length=1) for row in ids])
+        batch.close()
+        via_modules = record(lambda: [module_encode(model, row[None], dtype) for row in ids])
+        assert via_arrays.keys() == via_modules.keys() and len(via_modules) == 2 * 6  # two layers: q/k/v/out, wi/wo
+        for name, inputs in via_modules.items():
+            assert len(via_arrays[name]) == len(inputs) == len(ids), name
+            for got, want in zip(via_arrays[name], inputs):
+                assert_identical(got, want, dtype)
+
+
+class TestNoTensor:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_warm_admit_and_32_steps_build_no_tensor(self, dtype, monkeypatch):
+        model = build_model(activation="gelu", num_layers=2, seed=3, eos_id=-1)
+        batch = model.paged_decode_batch(max_slots=2, page_size=4, dtype=dtype)
+        batch.admit(np.array([5, 6, 7, PAD], dtype=np.int64), max_length=40)  # warm-up: fills the memos
+        built: list[type] = []
+        original = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        batch.admit(np.array([8, 9, 10, 11, 12], dtype=np.int64), max_length=40)
+        for _ in range(32):
+            batch.step()
+        monkeypatch.undo()
+        assert batch.active_count == 2
+        batch.close()
+        assert built == []
 
 
 CORPUS = [

@@ -15,6 +15,7 @@ throughput knob (telemetry, which carries shard identity, is excluded from
 from __future__ import annotations
 
 import asyncio
+import copy
 import os
 import threading
 import time
@@ -404,6 +405,22 @@ class TestControlPlane:
             server.undeploy("viz@1")
 
 
+def attach_pipes(server: ShardedServer, loop, slot, ours: list[int]) -> int:
+    """Give ``slot`` pipes as ``_fork_shard`` would, read by the gateway's real
+    ``_on_readable`` on ``loop``; returns the end a shard writes its replies to.
+    Both test-side ends are appended to ``ours`` for the caller to close."""
+    request_read, slot.to_fd = os.pipe()
+    slot.from_fd, reply_write = os.pipe()
+    for fd in (slot.to_fd, slot.from_fd):
+        os.set_blocking(fd, False)
+    slot.generation, slot.alive = 1, True
+    slot.queue, slot.inflight, slot.ready = asyncio.Queue(), asyncio.Semaphore(2), asyncio.Event()
+    slot.ready.set()
+    loop.add_reader(slot.from_fd, server._on_readable, slot, 1)
+    ours.extend((request_read, reply_write))
+    return reply_write
+
+
 class TestHostileShardFrames:
     """Well-framed but malformed shard output condemns the shard; nothing hangs.
 
@@ -434,23 +451,10 @@ class TestHostileShardFrames:
         async def respawn_stub(slot, initial=False) -> None:
             respawns.append(slot.name)  # the real one would fork
 
-        def attach(slot) -> int:
-            """Give ``slot`` pipes as _fork_shard would; returns the end a shard writes to."""
-            request_read, slot.to_fd = os.pipe()
-            slot.from_fd, reply_write = os.pipe()
-            for fd in (slot.to_fd, slot.from_fd):
-                os.set_blocking(fd, False)
-            slot.generation, slot.alive = 1, True
-            slot.queue, slot.inflight, slot.ready = asyncio.Queue(), asyncio.Semaphore(2), asyncio.Event()
-            slot.ready.set()
-            loop.add_reader(slot.from_fd, server._on_readable, slot, 1)
-            ours.extend((request_read, reply_write))
-            return reply_write
-
         async def drive():
             first, second = server._slots
             server._loop, server._respawn = loop, respawn_stub
-            hostile_pipe, healthy_pipe = attach(first), attach(second)
+            hostile_pipe, healthy_pipe = (attach_pipes(server, loop, slot, ours) for slot in (first, second))
             on_text = (lambda seq, text: None) if hostile["type"] == "chunk" else None
             requests = fresh_questions(env, 3, "hostile")
             waiting = [asyncio.ensure_future(server._submit(request, on_text=on_text)) for request in requests]
@@ -479,3 +483,87 @@ class TestHostileShardFrames:
         assert any("protocol violation" in entry for entry in server._fatal_log)
         assert server._gateway.request_stats()["failed"]["shard_failed"] == 2
         assert sum(deployment.pending for deployment in server._gateway.deployments.values()) == 0
+
+
+class TestGatewayCacheIntegrity:
+    """The gateway response cache keeps only answers that decode, and never a
+    spec dict a caller holds.  Same fork-free harness as above: the test plays
+    both shards through pipes the gateway's real ``_on_readable`` reads."""
+
+    ANSWER = Response(task="fevisqa", output="42").as_dict()
+
+    @staticmethod
+    def run_gateway(env, script):
+        """Run ``script(server, ask)`` on a private loop; ``await ask(request,
+        answer)`` submits ``request`` and, on a miss, has its shard reply with
+        the ``answer`` payload."""
+        server = ShardedServer(env["registry_path"], "viz@1", ShardConfig(num_shards=2, max_requeues=0))
+        loop = asyncio.new_event_loop()
+        ours: list[int] = []
+        pipes: list[int] = []
+
+        async def respawn_stub(slot, initial=False) -> None:
+            pass  # the real one would fork
+
+        async def ask(request: Request, answer: dict | None = None) -> Response:
+            waiting = asyncio.ensure_future(server._submit(request))
+            await asyncio.sleep(0)
+            for slot, pipe in zip(server._slots, pipes):
+                if slot.queue.qsize():
+                    server._dispatch(slot, "viz@1", [slot.queue.get_nowait()])
+                    os.write(pipe, encode_frame({"type": "result", "seq": server._seq, "responses": [answer]}))
+            return await asyncio.wait_for(waiting, 5.0)
+
+        async def drive():
+            server._loop, server._respawn = loop, respawn_stub
+            pipes.extend(attach_pipes(server, loop, slot, ours) for slot in server._slots)
+            return await script(server, ask)
+
+        try:
+            return loop.run_until_complete(drive())
+        finally:
+            for fd in ours:
+                os.close(fd)
+            loop.close()
+
+    def test_an_undecodable_answer_fails_its_request_and_is_never_cached(self, env):
+        """A result whose query does not parse fails its owner once; resubmitting
+        the request is a cache miss answered with a structured ``Response``
+        (it used to replay the poisoned entry and raise out of ``submit``)."""
+        undecodable = {**self.ANSWER, "query": "not vql (("}
+        (request,) = fresh_questions(env, 1, "undecodable")
+
+        async def script(server, ask):
+            first = await ask(request, undecodable)
+            assert len(server._cache) == 0
+            again = await ask(request, undecodable)
+            assert len(server._cache) == 0
+            answered = await ask(request, self.ANSWER)
+            return first, again, answered, await ask(request), len(server._cache)
+
+        first, again, answered, hit, cached = self.run_gateway(env, script)
+        for failed in (first, again):
+            assert isinstance(failed, Response)
+            assert failed.error == "shard_failed" and "undecodable shard response" in failed.detail
+        assert answered.error is None and answered.output == "42" and not answered.cached
+        assert hit.cached and hit.output == "42"
+        assert cached == 1
+
+    def test_mutating_response_spec_does_not_corrupt_caches(self, env):
+        """The sharded twin of the ``Pipeline`` test: an edit to the owner's
+        spec or to a hit's spec never reaches the next hit."""
+        spec = {"mark": "bar", "encoding": {"x": {"field": "a", "type": "nominal"}}}
+        answer = Response(task="fevisqa", output="42", vega_lite=copy.deepcopy(spec)).as_dict()
+        (request,) = fresh_questions(env, 1, "spec")
+
+        async def script(server, ask):
+            owner = await ask(request, answer)
+            assert owner.vega_lite == spec and not owner.cached
+            owner.vega_lite["data"] = {"values": ["mutated by the owner"]}
+            hit = await ask(request)
+            assert hit.cached and hit.vega_lite == spec
+            hit.vega_lite["encoding"]["x"]["field"] = "mutated by a hit"
+            return await ask(request)
+
+        later = self.run_gateway(env, script)
+        assert later.cached and later.vega_lite == spec
