@@ -10,7 +10,7 @@ package provides the pieces that stack supplies:
   activation statistics, SmoothQuant-style equalization, and mixed-precision
   :class:`~repro.nn.calibration.QuantPolicy` search;
 * :mod:`repro.nn.attention` -- multi-head attention with T5 relative
-  position biases and an array-level path for the paged decode step;
+  position biases, taking a ``Tensor`` or a plain array like every module;
 * :mod:`repro.nn.decode_cache` -- the paged, refcounted key/value arena
   incremental decoding keeps its history in;
 * :mod:`repro.nn.transformer` -- a T5-style encoder--decoder LM whose greedy

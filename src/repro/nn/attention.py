@@ -146,69 +146,32 @@ class MultiHeadAttention(Module):
 
     def forward(
         self,
-        query: Tensor,
-        key: Tensor,
-        value: Tensor,
+        query: Tensor | np.ndarray,
+        key: Tensor | np.ndarray,
+        value: Tensor | np.ndarray,
         mask: np.ndarray | None = None,
-        position_bias: Tensor | None = None,
+        position_bias: Tensor | np.ndarray | None = None,
         return_weights: bool = False,
     ):
         """Attend ``query`` over ``key``/``value``.
 
         ``mask`` is a boolean *keep* mask broadcastable to
         ``(batch, 1, query_length, key_length)``; masked-out logits receive a
-        large negative bias before the softmax.
+        large negative bias before the softmax.  Plain arrays return an array;
+        the paged decode step attends through :meth:`attend_rows` instead.
         """
-        q = self._split_heads(self.q_proj(query))
-        k = self._split_heads(self.k_proj(key))
-        v = self._split_heads(self.v_proj(value))
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.swapaxes(-1, -2)) * scale
+        q = self._split_heads(self.q_proj.forward(query))
+        k = self._split_heads(self.k_proj.forward(key))
+        v = self._split_heads(self.v_proj.forward(value))
+        # A Python float, so a float32 array is not promoted to float64.
+        scores = (q @ k.swapaxes(-1, -2)) * float(1.0 / np.sqrt(self.head_dim))
         if position_bias is not None:
             scores = scores + position_bias
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            while mask.ndim < 4:
-                mask = mask[:, None] if mask.ndim >= 2 else mask[None]
-            scores = scores.masked_fill(~mask, -1e9)
-        weights = F.softmax(scores, axis=-1)
-        weights = self.dropout(weights)
-        attended = weights @ v
-        output = self.out_proj(self._merge_heads(attended))
-        if return_weights:
-            return output, weights
-        return output
-
-    def forward_array(
-        self,
-        query: np.ndarray,
-        key: np.ndarray,
-        value: np.ndarray,
-        mask: np.ndarray | None = None,
-        position_bias: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Eval-mode :meth:`forward` on plain arrays whose dtype is the compute dtype.
-
-        Full-sequence attention (the encoder's self-attention): the numpy
-        calls of :meth:`forward` in the same order and dtype, so the output is
-        bitwise the module path's.  ``mask`` is a boolean keep mask
-        broadcastable to ``(batch, 1, query_length, key_length)``.  The paged
-        decode step attends through :meth:`attend_rows` instead.
-        Inference-only (no dropout).
-        """
-        if self.training:
-            raise ModelConfigError("forward_array is an inference-only fast path; call eval() first")
-        q = self._split_heads(self.q_proj.forward_array(query))
-        k = self._split_heads(self.k_proj.forward_array(key))
-        v = self._split_heads(self.v_proj.forward_array(value))
-        scalar = q.dtype.type
-        scores = (q @ k.swapaxes(-1, -2)) * scalar(1.0 / np.sqrt(self.head_dim))
-        if position_bias is not None:
-            scores = scores + position_bias
-        if mask is not None:
-            scores = np.where(mask, scores, scalar(-1e9))
-        exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        return self.out_proj.forward_array(self._merge_heads((exps / exps.sum(axis=-1, keepdims=True)) @ v))
+            scores = F.masked_fill(scores, np.asarray(mask, dtype=bool), -1e9)
+        weights = self.dropout.forward(F.softmax(scores, axis=-1))
+        output = self.out_proj.forward(self._merge_heads(weights @ v))
+        return (output, weights) if return_weights else output
 
     # -- paged decode fast path ----------------------------------------------------------
     # The paged decode attends each sequence over its *own* exact-length
@@ -222,8 +185,8 @@ class MultiHeadAttention(Module):
         """Project encoder ``states`` into split-head ``(batch, heads, source, head_dim)`` K/V arrays.
 
         ``states`` is a plain array of the compute dtype (the encoder's
-        ``forward_array`` output); the result is bitwise the keys and values
-        :meth:`forward` attends over for those states.  The paged decode
+        ``forward`` output for a ``dtype``); the result is bitwise the keys
+        and values :meth:`forward` attends over for those states.  The paged decode
         projects cross-attention K/V once per encoder pass with this and
         keeps each row's slice beside its page table.  Decode-only.
         """
@@ -232,8 +195,8 @@ class MultiHeadAttention(Module):
                 "project_static_kv is a decode-only fast path; run it under no_grad()"
             )
         return (
-            self._split_heads(self.k_proj.forward_array(states)),
-            self._split_heads(self.v_proj.forward_array(states)),
+            self._split_heads(self.k_proj.forward(states)),
+            self._split_heads(self.v_proj.forward(states)),
         )
 
     def attend_rows(
@@ -277,4 +240,4 @@ class MultiHeadAttention(Module):
         if start != q.shape[0]:
             raise ModelConfigError(f"attend_rows got {q.shape[0]} query rows but K/V histories for {start}")
         merged = self._merge_heads(attended[0] if len(attended) == 1 else np.concatenate(attended, axis=0))
-        return self.out_proj.forward_array(merged)
+        return self.out_proj.forward(merged)

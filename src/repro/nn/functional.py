@@ -1,27 +1,46 @@
-"""Functional building blocks: activations, softmax and losses."""
+"""Functional building blocks: activations, softmax and losses.
+
+Activations, :func:`softmax` and :func:`masked_fill` also take a plain array
+and return one: module bodies branch on their input's type only through these.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, gelu_array
 
 
-def relu(x: Tensor) -> Tensor:
-    """Elementwise ReLU (delegates to :meth:`Tensor.relu`)."""
+def relu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    """Elementwise ReLU (delegates to :meth:`Tensor.relu` for a ``Tensor``)."""
+    if isinstance(x, np.ndarray):
+        return x * (x > 0)
     return x.relu()
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximated GELU (delegates to :meth:`Tensor.gelu`)."""
+def gelu(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    """Tanh-approximated GELU (delegates to :meth:`Tensor.gelu` for a ``Tensor``)."""
+    if isinstance(x, np.ndarray):
+        # The gelu constants are float64 scalars, so a float32 input is
+        # promoted and rounded back once, exactly as ``Tensor.gelu`` does.
+        return np.asarray(gelu_array(x)[0], dtype=x.dtype)
     return x.gelu()
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x: Tensor | np.ndarray, axis: int = -1) -> Tensor | np.ndarray:
     """Numerically stable softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exps = shifted.exp()
+    if isinstance(x, np.ndarray):
+        exps = np.exp(x - x.max(axis=axis, keepdims=True))
+    else:
+        exps = (x - x.max(axis=axis, keepdims=True).detach()).exp()
     return exps / exps.sum(axis=axis, keepdims=True)
+
+
+def masked_fill(x: Tensor | np.ndarray, keep: np.ndarray, value: float) -> Tensor | np.ndarray:
+    """``x`` with the entries where the boolean ``keep`` mask is false set to ``value``."""
+    if isinstance(x, np.ndarray):
+        return np.where(keep, x, value)
+    return x.masked_fill(~keep, value)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -20,7 +20,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.errors import ModelConfigError
-from repro.nn.tensor import Tensor, compute_dtype, gelu_array
+from repro.nn import functional as F
+from repro.nn.tensor import Tensor, compute_dtype
 from repro.utils.rng import seeded_rng
 
 
@@ -44,6 +45,25 @@ def cast_cached(module: "Module", slot: str, source: np.ndarray, dtype, transfor
     cast = np.ascontiguousarray(transform(source) if transform is not None else source, dtype=dtype)
     cache[slot] = (source, dtype, cast)
     return cast
+
+
+def _operand(module: "Module", slot: str, parameter: "Parameter", x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    """``parameter`` as the operand for ``x``: the :func:`cast_cached` array in
+    an array's dtype; for a ``Tensor``, the parameter itself at float64 (so
+    autograd reaches it) or a ``Tensor`` of its cast under ``autocast``."""
+    if isinstance(x, np.ndarray):
+        return cast_cached(module, slot, parameter.data, x.dtype)
+    dtype = compute_dtype()
+    if dtype == np.float64:
+        return parameter
+    return Tensor(cast_cached(module, slot, parameter.data, dtype))
+
+
+def _observe(module: "Module", x: Tensor | np.ndarray) -> None:
+    """Feed ``x``'s values to the :mod:`repro.nn.calibration` observer attached to ``module``, if any."""
+    observer = module.__dict__.get("_activation_observer")
+    if observer is not None:
+        observer.update(x.data if isinstance(x, Tensor) else x)
 
 
 def symmetric_int8(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,6 +374,8 @@ class Module:
             parameter.data = value.copy()
 
     # -- call protocol ------------------------------------------------------------
+    # Composite bodies call a submodule's ``forward`` directly: on the paged
+    # decode path this frame costs about 5 % of a d_model-64 step.
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
@@ -460,36 +482,12 @@ class Linear(Module):
         self.weight.requires_grad = False
         self.invalidate_cast_caches()
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply ``x @ W (+ b)``, casting masters to the active compute dtype."""
-        observer = self.__dict__.get("_activation_observer")
-        if observer is not None:
-            observer.update(x.data)
-        dtype = compute_dtype()
-        if dtype == np.float64:
-            weight, bias = self.weight, self.bias
-        else:
-            weight = Tensor(cast_cached(self, "weight", self.weight.data, dtype))
-            bias = None if self.bias is None else Tensor(cast_cached(self, "bias", self.bias.data, dtype))
-        out = x @ weight
-        if bias is not None:
-            out = out + bias
-        return out
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on a plain array whose dtype is the compute dtype.
-
-        The no-autograd twin the paged decode step runs: it feeds an attached
-        activation observer the same input, reads the master (or its
-        :func:`cast_cached` cast) at call time and issues the same numpy
-        calls, so the floats are bitwise those of :meth:`forward`.
-        """
-        observer = self.__dict__.get("_activation_observer")
-        if observer is not None:
-            observer.update(x)
-        out = x @ cast_cached(self, "weight", self.weight.data, x.dtype)
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """Apply ``x @ W (+ b)``, casting masters to ``x``'s compute dtype."""
+        _observe(self, x)
+        out = x @ _operand(self, "weight", self.weight, x)
         if self.bias is not None:
-            out = out + cast_cached(self, "bias", self.bias.data, x.dtype)
+            out = out + _operand(self, "bias", self.bias, x)
         return out
 
 
@@ -580,22 +578,17 @@ class Embedding(Module):
         self.weight.requires_grad = False
         self.invalidate_cast_caches()
 
-    def _checked_ids(self, ids: np.ndarray) -> np.ndarray:
+    def forward(self, ids: np.ndarray, dtype=None) -> Tensor | np.ndarray:
+        """Look up the vectors for ``ids`` (any integer array shape): a :class:`Tensor`
+        for ``dtype=None``, else a plain array of ``dtype`` (the float64 rows cast once)."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise ModelConfigError(
-                f"token id outside embedding range [0, {self.num_embeddings}): "
-                f"min={ids.min() if ids.size else None}, max={ids.max() if ids.size else None}"
+                f"token id outside embedding range [0, {self.num_embeddings}): min={ids.min()}, max={ids.max()}"
             )
-        return ids
-
-    def forward(self, ids: np.ndarray) -> Tensor:
-        """Look up the vectors for ``ids`` (any integer array shape)."""
-        return self.weight.embedding_lookup(self._checked_ids(ids))
-
-    def forward_array(self, ids: np.ndarray, dtype) -> np.ndarray:
-        """:meth:`forward` as a plain ``dtype`` array: the float64 rows, cast once, as the module path does."""
-        return np.asarray(self.weight.data[self._checked_ids(ids)], dtype=dtype)
+        if dtype is None:
+            return self.weight.embedding_lookup(ids)
+        return np.asarray(self.weight.data[ids], dtype=dtype)
 
 
 class RMSNorm(Module):
@@ -607,21 +600,13 @@ class RMSNorm(Module):
         self.eps = eps
         self.dim = dim
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
         """Scale ``x`` to unit RMS along the last axis, then apply the gain."""
-        variance = (x * x).mean(axis=-1, keepdims=True)
+        # The mean is spelled as ``Tensor.mean`` computes it; Python-float
+        # scalars round to ``x``'s dtype on both paths.
+        variance = (x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1])
         normed = x * ((variance + self.eps) ** -0.5)
-        dtype = compute_dtype()
-        if dtype == np.float64:
-            return normed * self.weight
-        return normed * Tensor(cast_cached(self, "weight", self.weight.data, dtype))
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on a plain array: the same numpy calls, scalars cast to ``x.dtype``."""
-        scalar = x.dtype.type
-        variance = (x * x).sum(axis=-1, keepdims=True) * scalar(1.0 / x.shape[-1])
-        normed = x * ((variance + scalar(self.eps)) ** -0.5)
-        return normed * cast_cached(self, "weight", self.weight.data, x.dtype)
+        return normed * _operand(self, "weight", self.weight, x)
 
 
 class Dropout(Module):
@@ -634,10 +619,12 @@ class Dropout(Module):
         self.rate = rate
         self._rng = seeded_rng(seed)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Randomly zero (and rescale) entries of ``x`` while training."""
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """Randomly zero (and rescale) entries of ``x`` while training (a plain array raises)."""
         if not self.training or self.rate == 0.0:
             return x
+        if isinstance(x, np.ndarray):
+            raise ModelConfigError("an array forward pass is inference-only; call eval() first")
         keep_probability = 1.0 - self.rate
         mask = self._rng.random(x.shape) < keep_probability
         return x * Tensor(mask.astype(np.float64) / keep_probability)
@@ -663,20 +650,8 @@ class FeedForward(Module):
             raise ModelConfigError(f"unknown activation {activation!r}")
         self.activation = activation
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
         """Apply the expand -> activate -> (dropout) -> project block."""
-        hidden = self.wi(x)
-        hidden = hidden.relu() if self.activation == "relu" else hidden.gelu()
-        hidden = self.dropout(hidden)
-        return self.wo(hidden)
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode :meth:`forward` on a plain array (dropout is the identity there)."""
-        hidden = self.wi.forward_array(x)
-        if self.activation == "relu":
-            hidden = hidden * (hidden > 0)
-        else:
-            # The gelu constants are float64 scalars, so a float32 input is
-            # promoted and rounded back once, exactly as ``Tensor.gelu`` does.
-            hidden = np.asarray(gelu_array(hidden)[0], dtype=x.dtype)
-        return self.wo.forward_array(hidden)
+        hidden = self.wi.forward(x)
+        hidden = F.relu(hidden) if self.activation == "relu" else F.gelu(hidden)
+        return self.wo.forward(self.dropout.forward(hidden))

@@ -36,7 +36,7 @@ from repro.errors import ModelConfigError
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadAttention, RelativePositionBias
 from repro.nn.decode_cache import PagedKVArena, PagedSequence
-from repro.nn.layers import Dropout, Embedding, FeedForward, Module, RMSNorm, cast_cached
+from repro.nn.layers import Dropout, Embedding, FeedForward, Module, RMSNorm, _observe, cast_cached
 from repro.nn.tensor import Tensor, autocast, compute_dtype, no_grad, resolve_dtype
 from repro.utils.rng import derive_seed, seeded_rng
 
@@ -85,20 +85,15 @@ class EncoderLayer(Module):
         self.norm_feed_forward = RMSNorm(config.d_model)
         self.dropout = Dropout(config.dropout, seed=rng)
 
-    def forward(self, hidden: Tensor, mask: np.ndarray | None, position_bias: Tensor | None) -> Tensor:
+    def forward(
+        self, hidden: Tensor | np.ndarray, mask: np.ndarray | None, position_bias: Tensor | np.ndarray | None
+    ) -> Tensor | np.ndarray:
         """Self-attention then feed-forward, each behind a pre-norm residual."""
-        normed = self.norm_attention(hidden)
-        attended = self.self_attention(normed, normed, normed, mask=mask, position_bias=position_bias)
-        hidden = hidden + self.dropout(attended)
-        normed = self.norm_feed_forward(hidden)
-        hidden = hidden + self.dropout(self.feed_forward(normed))
-        return hidden
-
-    def forward_array(self, hidden: np.ndarray, mask: np.ndarray | None, position_bias: np.ndarray | None) -> np.ndarray:
-        """Eval-mode :meth:`forward` on plain arrays (dropout is the identity there)."""
-        normed = self.norm_attention.forward_array(hidden)
-        hidden = hidden + self.self_attention.forward_array(normed, normed, normed, mask, position_bias)
-        return hidden + self.feed_forward.forward_array(self.norm_feed_forward.forward_array(hidden))
+        normed = self.norm_attention.forward(hidden)
+        attended = self.self_attention.forward(normed, normed, normed, mask=mask, position_bias=position_bias)
+        hidden = hidden + self.dropout.forward(attended)
+        normed = self.norm_feed_forward.forward(hidden)
+        return hidden + self.dropout.forward(self.feed_forward.forward(normed))
 
 
 class DecoderLayer(Module):
@@ -153,33 +148,22 @@ class TransformerEncoder(Module):
         self.final_norm = RMSNorm(config.d_model)
         self.dropout = Dropout(config.dropout, seed=derive_seed(config.seed, "encoder_dropout"))
 
-    def forward(self, input_ids: np.ndarray, attention_mask: np.ndarray | None = None) -> Tensor:
-        """Embed and encode ``input_ids``; padding is masked out of attention."""
+    def forward(self, input_ids: np.ndarray, attention_mask: np.ndarray | None = None, dtype=None) -> Tensor | np.ndarray:
+        """Embed and encode ``input_ids``; padding is masked out of attention.
+
+        ``dtype=None`` returns a :class:`Tensor`; a dtype, a plain array of it built
+        without one (the bias is :meth:`~repro.nn.attention.RelativePositionBias.square`).
+        """
         input_ids = np.asarray(input_ids, dtype=np.int64)
         if attention_mask is None:
             attention_mask = input_ids != self.config.pad_id
-        hidden = self.dropout(self.embedding(input_ids))
+        hidden = self.dropout.forward(self.embedding.forward(input_ids, dtype))
         length = input_ids.shape[1]
-        bias = self.position_bias(length, length)
-        keep = np.asarray(attention_mask, dtype=bool)[:, None, :]  # (B, 1, T)
-        for layer in self.layers:
-            hidden = layer(hidden, keep, bias)
-        return self.final_norm(hidden)
-
-    def forward_array(self, input_ids: np.ndarray, attention_mask: np.ndarray, dtype) -> np.ndarray:
-        """Eval-mode :meth:`forward` as a plain ``dtype`` array, bitwise the module path's floats.
-
-        Every layer runs its ``forward_array`` twin and the position bias is
-        the memoized :meth:`~repro.nn.attention.RelativePositionBias.square`
-        block, so no :class:`~repro.nn.tensor.Tensor` is built.
-        """
-        input_ids = np.asarray(input_ids, dtype=np.int64)
-        hidden = self.embedding.forward_array(input_ids, dtype)
-        bias = self.position_bias.square(input_ids.shape[1], hidden.dtype)
+        bias = self.position_bias(length, length) if dtype is None else self.position_bias.square(length, hidden.dtype)
         keep = np.asarray(attention_mask, dtype=bool)[:, None, None, :]  # (B, 1, 1, T)
         for layer in self.layers:
-            hidden = layer.forward_array(hidden, keep, bias)
-        return self.final_norm.forward_array(hidden)
+            hidden = layer.forward(hidden, keep, bias)
+        return self.final_norm.forward(hidden)
 
 
 class TransformerDecoder(Module):
@@ -209,23 +193,21 @@ class TransformerDecoder(Module):
     ) -> Tensor:
         """Decode the full target prefix ``decoder_input_ids`` under a causal mask."""
         decoder_input_ids = np.asarray(decoder_input_ids, dtype=np.int64)
-        batch, length = decoder_input_ids.shape
+        length = decoder_input_ids.shape[1]
         hidden = self.dropout(self.embedding(decoder_input_ids))
         bias = self.position_bias(length, length)
 
         if decoder_attention_mask is not None:
-            causal = F.causal_mask(length, length)[None, :, :]  # (1, T, T)
-            pad_keep = np.asarray(decoder_attention_mask, dtype=bool)[:, None, :]
-            self_mask = causal & pad_keep
+            causal = F.causal_mask(length, length)[None, None]  # (1, 1, T, T)
+            self_mask = causal & np.asarray(decoder_attention_mask, dtype=bool)[:, None, None, :]
         elif length == 1:
             # A lone token attends only itself, so masking would be a no-op.
             self_mask = None
         else:
-            causal = F.causal_mask(length, length)[None, :, :]
-            self_mask = np.broadcast_to(causal, (batch, length, length))
+            self_mask = F.causal_mask(length, length)[None, None]  # broadcasts over the batch
 
         if encoder_attention_mask is not None:
-            cross_mask = np.asarray(encoder_attention_mask, dtype=bool)[:, None, :]
+            cross_mask = np.asarray(encoder_attention_mask, dtype=bool)[:, None, None, :]  # (B, 1, 1, S)
         else:
             cross_mask = None
 
@@ -289,18 +271,15 @@ class T5Model(Module):
         plain array (the paged decode step's) runs the same numpy calls in
         its own dtype and returns an array.
         """
-        scale = self.config.d_model**-0.5
-        array = isinstance(decoder_hidden, np.ndarray)
-        hidden = decoder_hidden if array else decoder_hidden.data
+        scaled = decoder_hidden * self.config.d_model**-0.5
         # Calibration attaches an observer to the shared embedding to record
         # the tied head's *input* activations (repro.nn.calibration) — the
         # embedding's quantization error hurts decoding through this
         # projection, so its equalization is driven by these channels.
-        observer = self.shared_embedding.__dict__.get("_activation_observer")
-        if observer is not None:
-            observer.update(hidden * scale)
+        _observe(self.shared_embedding, scaled)
         weight = self.shared_embedding.weight
-        dtype = hidden.dtype if array else compute_dtype()
+        array = isinstance(decoder_hidden, np.ndarray)
+        dtype = decoder_hidden.dtype if array else compute_dtype()
         if dtype == np.float64:
             projection = weight.data.T if array else weight.transpose()
         else:
@@ -308,7 +287,7 @@ class T5Model(Module):
             # the transposed cast of the (V, D) master is memoized on the embedding.
             projection = cast_cached(self.shared_embedding, "lm_projection", weight.data, dtype, transform=np.transpose)
             projection = projection if array else Tensor(projection)
-        return (hidden * dtype.type(scale) if array else decoder_hidden * scale) @ projection
+        return scaled @ projection
 
     # -- quantization ------------------------------------------------------------
     @property
@@ -354,6 +333,8 @@ class T5Model(Module):
         gate it (see ``docs/numerics.md``).
         """
         input_ids = np.atleast_2d(np.asarray(input_ids, dtype=np.int64))
+        if input_ids.shape[1] == 0:
+            raise ModelConfigError("generate() needs a non-empty source: got zero-length rows")
         max_length = decode_budget(max_length, self.config.max_decode_length)
         with _eval_mode(self):
             if use_cache:
@@ -554,9 +535,9 @@ class PagedDecodeBatch:
 
     **Inference is array-level.**  :meth:`admit` runs the encoder and
     :meth:`step` the decoder layers, embedding lookup and tied LM head on
-    plain arrays through each module's ``forward_array`` twin — the numpy
-    calls of the module path in the same order and dtype, no
-    :class:`~repro.nn.tensor.Tensor` anywhere.  The per-row
+    plain arrays: each module's one ``forward`` body, handed an array,
+    returns an array and builds no :class:`~repro.nn.tensor.Tensor`, so
+    the floats are the ``Tensor`` path's by construction.  The per-row
     projections stay ``(rows, 1, d)`` stacks, never one 2-D GEMM: BLAS may
     round a GEMM row differently from the lone row's product, and again
     differently as the row count changes.  Weights are read from the modules
@@ -621,8 +602,8 @@ class PagedDecodeBatch:
         if self.free_slots == 0:
             raise ModelConfigError(f"no free slot: all {self.max_slots} are decoding")
         input_ids = np.asarray(input_ids, dtype=np.int64)
-        if input_ids.ndim != 1:
-            raise ModelConfigError("admit() takes one unbatched source row at a time")
+        if input_ids.ndim != 1 or input_ids.size == 0:
+            raise ModelConfigError("admit() takes one unbatched, non-empty source row at a time")
         (cross,) = self._encode(input_ids[None, :])
         return self._join(*cross, max_length).handle
 
@@ -678,7 +659,7 @@ class PagedDecodeBatch:
         """
         attention_mask = input_ids != self.model.config.pad_id
         with no_grad():
-            encoder_hidden = self.model.encoder.forward_array(input_ids, attention_mask, self.dtype)
+            encoder_hidden = self.model.encoder.forward(input_ids, attention_mask, self.dtype)
             projected = [layer.cross_attention.project_static_kv(encoder_hidden) for layer in self.model.decoder.layers]
         return [
             (
@@ -725,29 +706,29 @@ class PagedDecodeBatch:
         cross = self._stacked_cross(active, cross_buckets)
         cross_masks = [mask for _, _, mask in cross]
         step_ids = np.asarray([[slot.last_token] for slot in active], dtype=np.int64)
-        hidden = decoder.embedding.forward_array(step_ids, self.dtype)
+        hidden = decoder.embedding.forward(step_ids, self.dtype)
         biases = [
             decoder.position_bias.decode_row(active[bucket[0]].sequence.length + 1, hidden.dtype)
             for bucket in self_buckets
         ]
         for index, layer in enumerate(decoder.layers):
             attention = layer.self_attention
-            normed = layer.norm_self.forward_array(hidden)
-            q = attention._split_heads(attention.q_proj.forward_array(normed))
-            k_new = attention._split_heads(attention.k_proj.forward_array(normed))
-            v_new = attention._split_heads(attention.v_proj.forward_array(normed))
+            normed = layer.norm_self.forward(hidden)
+            q = attention._split_heads(attention.q_proj.forward(normed))
+            k_new = attention._split_heads(attention.k_proj.forward(normed))
+            v_new = attention._split_heads(attention.v_proj.forward(normed))
             self.arena.append_rows(index, [slot.sequence for slot in active], k_new, v_new)
             keys, values = zip(
                 *(self.arena.gather(index, [active[row].sequence for row in bucket]) for bucket in self_buckets)
             )
             hidden = hidden + _attend_rows(attention, self_order, q, keys, values, None, biases)
             attention = layer.cross_attention
-            normed = layer.norm_cross.forward_array(hidden)
-            q = attention._split_heads(attention.q_proj.forward_array(normed))
+            normed = layer.norm_cross.forward(hidden)
+            q = attention._split_heads(attention.q_proj.forward(normed))
             keys, values = [k[index] for k, _, _ in cross], [v[index] for _, v, _ in cross]
             hidden = hidden + _attend_rows(attention, cross_order, q, keys, values, cross_masks, None)
-            hidden = hidden + layer.feed_forward.forward_array(layer.norm_feed_forward.forward_array(hidden))
-        hidden = decoder.final_norm.forward_array(hidden)
+            hidden = hidden + layer.feed_forward.forward(layer.norm_feed_forward.forward(hidden))
+        hidden = decoder.final_norm.forward(hidden)
         return active, self.model.lm_logits(hidden)[:, -1, :]
 
     def _stacked_cross(self, active: list[_PagedSlot], buckets: list[list[int]]) -> list[tuple]:

@@ -5,8 +5,17 @@ import pytest
 
 from repro.errors import ModelConfigError
 from repro.nn.attention import MultiHeadAttention, RelativePositionBias
-from repro.nn.tensor import Tensor
-from repro.nn.transformer import T5Model, TransformerConfig
+from repro.nn.tensor import Tensor, autocast
+from repro.nn.transformer import EncoderLayer, T5Model, TransformerConfig
+
+DTYPES = ["float64", "float32"]
+
+
+def assert_same_floats(got, want: np.ndarray, dtype: str) -> None:
+    """``got`` is a plain array equal to ``want``, dtype included."""
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert np.array_equal(got, want)
 
 
 def tiny_config(**overrides) -> TransformerConfig:
@@ -65,6 +74,51 @@ class TestMultiHeadAttention:
     def test_d_model_head_divisibility(self):
         with pytest.raises(ModelConfigError):
             MultiHeadAttention(d_model=10, num_heads=3)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_array_forward_is_the_tensor_path(self, dtype):
+        """Head size 6, so the attention scale is not a power of two and rounds."""
+        attention = MultiHeadAttention(d_model=12, num_heads=2, dropout=0.1, seed=3).eval()
+        rng = np.random.default_rng(4)
+        query = rng.normal(size=(2, 3, 12)).astype(dtype)
+        memory = rng.normal(size=(2, 5, 12)).astype(dtype)
+        bias = rng.normal(size=(1, 2, 3, 5)).astype(dtype)
+        keep = np.array([[True] * 5, [True, True, False, True, False]])[:, None, None, :]
+        got = attention(query, memory, memory, mask=keep, position_bias=bias)
+        with autocast(dtype):
+            want = attention(Tensor(query), Tensor(memory), Tensor(memory), mask=keep, position_bias=Tensor(bias))
+        assert_same_floats(got, want.data, dtype)
+
+    def test_array_while_training_with_dropout_raises(self):
+        attention = MultiHeadAttention(d_model=8, num_heads=2, dropout=0.1)
+        x = np.ones((1, 3, 8))
+        with pytest.raises(ModelConfigError):
+            attention(x, x, x)
+
+
+class TestEncoder:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_layer_array_forward_is_the_tensor_path(self, dtype, activation):
+        layer = EncoderLayer(tiny_config(num_heads=2, d_model=12, dropout=0.1, activation=activation), seed=5).eval()
+        rng = np.random.default_rng(6)
+        hidden = rng.normal(size=(2, 4, 12)).astype(dtype)
+        bias = rng.normal(size=(1, 2, 4, 4)).astype(dtype)
+        keep = np.array([[True] * 4, [True, True, True, False]])[:, None, None, :]
+        got = layer(hidden, keep, bias)
+        with autocast(dtype):
+            want = layer(Tensor(hidden), keep, Tensor(bias))
+        assert_same_floats(got, want.data, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_encoder_with_a_dtype_is_the_tensor_path(self, dtype):
+        model = T5Model(tiny_config(num_encoder_layers=2, dropout=0.1, seed=2)).eval()
+        encoder = model.encoder
+        ids = np.array([[5, 6, 7, 8, 9], [10, 11, 0, 12, 0]])
+        mask = ids != 0
+        with autocast(dtype):
+            want = encoder(ids, mask)
+        assert_same_floats(encoder(ids, mask, dtype), want.data, dtype)
 
 
 class TestT5Model:
@@ -129,6 +183,23 @@ class TestT5Model:
             fast = model.generate(x, max_length=5, num_beams=num_beams, use_cache=True)
             reference = model.generate(x, max_length=5, num_beams=num_beams, use_cache=False)
             assert np.array_equal(fast, reference)
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("num_beams", [1, 2])
+    def test_generate_rejects_an_empty_source(self, use_cache, num_beams):
+        model = T5Model(tiny_config())
+        with pytest.raises(ModelConfigError, match="non-empty"):
+            model.generate(np.zeros((1, 0), dtype=np.int64), max_length=3, num_beams=num_beams, use_cache=use_cache)
+
+    def test_admit_rejects_an_empty_source_and_holds_no_page(self):
+        model = T5Model(tiny_config()).eval()
+        batch = model.paged_decode_batch(max_slots=2)
+        with pytest.raises(ModelConfigError, match="non-empty"):
+            batch.admit(np.array([], dtype=np.int64))
+        assert batch.active_count == 0 and batch.arena.pages_in_use == 0
+        batch.admit(np.array([5, 6], dtype=np.int64), max_length=2)  # the batch still admits
+        batch.close()
+        assert batch.arena.pages_in_use == 0
 
     def test_requires_labels_or_decoder_inputs(self):
         model = T5Model(tiny_config())

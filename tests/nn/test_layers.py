@@ -5,7 +5,19 @@ import pytest
 
 from repro.errors import ModelConfigError
 from repro.nn.layers import Dropout, Embedding, FeedForward, Linear, Module, Parameter, RMSNorm
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, autocast
+
+DTYPES = ["float64", "float32"]
+
+
+def assert_one_forward(module, x: np.ndarray) -> None:
+    """``module(x)`` on a plain array is the ``Tensor`` path's floats under ``autocast(x.dtype)``."""
+    got = module(x)
+    with autocast(x.dtype):
+        want = module(Tensor(x)).data
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == want.dtype == x.dtype
+    assert np.array_equal(got, want)
 
 
 class TestModule:
@@ -56,6 +68,16 @@ class TestLinear:
         with pytest.raises(ModelConfigError):
             Linear(0, 3)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("int8", [False, True])
+    def test_array_forward_is_the_tensor_path(self, dtype, int8):
+        rng = np.random.default_rng(3)
+        layer = Linear(7, 5, seed=4)
+        layer.bias.data = rng.normal(size=5)
+        if int8:
+            layer.quantize_int8()
+        assert_one_forward(layer, rng.normal(size=(2, 3, 7)).astype(dtype))
+
 
 class TestEmbedding:
     def test_lookup_shape(self):
@@ -67,6 +89,16 @@ class TestEmbedding:
         embedding = Embedding(10, 4)
         with pytest.raises(ModelConfigError):
             embedding(np.array([[11]]))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_dtype_returns_the_tensor_path_as_an_array(self, dtype):
+        embedding = Embedding(10, 4, seed=1)
+        ids = np.array([[1, 2, 9], [0, 0, 3]])
+        with autocast(dtype):
+            want = embedding(ids).data
+        got = embedding(ids, dtype)
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype == np.dtype(dtype)
+        assert np.array_equal(got, want)
 
     def test_gradients_accumulate_per_row(self):
         embedding = Embedding(5, 2)
@@ -91,6 +123,13 @@ class TestRMSNorm:
         out = norm(Tensor(np.ones((1, 4)))).numpy()
         np.testing.assert_allclose(out, np.full((1, 4), 2.0), atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_array_forward_is_the_tensor_path(self, dtype):
+        rng = np.random.default_rng(5)
+        norm = RMSNorm(6)
+        norm.weight.data = rng.normal(size=6)
+        assert_one_forward(norm, (rng.normal(size=(2, 4, 6)) * 3.0).astype(dtype))
+
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
@@ -109,6 +148,17 @@ class TestDropout:
         with pytest.raises(ModelConfigError):
             Dropout(1.0)
 
+    def test_array_passes_through_in_eval_mode_or_at_rate_zero(self):
+        x = np.ones((2, 3))
+        assert Dropout(0.5).eval()(x) is x
+        assert Dropout(0.0)(x) is x
+
+    def test_array_while_training_raises(self):
+        for module in (Dropout(0.1), FeedForward(4, 8, dropout=0.1)):
+            assert module.training
+            with pytest.raises(ModelConfigError):
+                module(np.ones((1, 2, 4)))
+
 
 class TestFeedForward:
     def test_shapes_and_activations(self):
@@ -120,3 +170,9 @@ class TestFeedForward:
     def test_unknown_activation(self):
         with pytest.raises(ModelConfigError):
             FeedForward(8, 16, activation="swish")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("activation", ["relu", "gelu"])
+    def test_array_forward_is_the_tensor_path(self, dtype, activation):
+        ff = FeedForward(8, 16, activation=activation, dropout=0.1, seed=2).eval()
+        assert_one_forward(ff, np.random.default_rng(6).normal(size=(3, 2, 8)).astype(dtype))

@@ -249,17 +249,17 @@ class TestFloatIdentity:
 def encoder_states(model: T5Model):
     """Record every encoder-state array the paged path's encoder pass returns."""
     seen: list[np.ndarray] = []
-    original = model.encoder.forward_array
+    original = model.encoder.forward
 
     def spy(*args, **kwargs):
         seen.append(original(*args, **kwargs))
         return seen[-1]
 
-    model.encoder.forward_array = spy
+    model.encoder.forward = spy
     try:
         yield seen
     finally:
-        del model.encoder.forward_array
+        del model.encoder.forward
 
 
 def module_encode(model: T5Model, ids: np.ndarray, dtype: str):
