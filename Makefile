@@ -10,7 +10,7 @@ help:
 	@echo "make test          - tier-1 verification: full test + benchmark suite (pytest -x -q)"
 	@echo "make test-nochaos  - tier-1 minus the chaos suite (pytest -x -q -m 'not chaos'); make ci runs this plus make test-chaos, so the chaos suite runs once, under its watchdog"
 	@echo "make test-fast     - tests/ only, without the process-killing chaos suite (pytest tests -m 'not chaos')"
-	@echo "make test-decode   - the decode oracles (paged-vs-naive equivalence, arena forks/copy-on-write, array encoder and step float identity, precision, calibration) plus the suites of the module bodies decode shares with training (per-module array-vs-Tensor oracles, T5 and DataVisT5 training): the inner loop for nn changes"
+	@echo "make test-decode   - the decode oracles (paged-vs-naive equivalence, arena forks/copy-on-write, array encoder and step float identity, resident self-attention K/V equals the gathered pages, precision, calibration) plus the suites of the module bodies decode shares with training (per-module array-vs-Tensor oracles, T5 and DataVisT5 training): the inner loop for nn changes"
 	@echo "make test-streaming - streaming + corpus-QA equivalence suites only (chunk protocol, reassembly-equals-sync, differential retrieval, the shard worker's serve/stream handler)"
 	@echo "make test-chaos    - sharded-tier chaos suite only, bounded by a 900s watchdog (pytest -m chaos)"
 	@echo "make bench         - benchmarks/ only: paper tables I-XII, the design gates and the end-to-end smoke run, all at smoke scale"
@@ -41,12 +41,13 @@ test-fast:
 	PYTHONPATH=src $(PYTHON) -m pytest tests -q -m "not chaos"
 
 # The decode oracles: generate's paged drivers against the naive loops, the
-# arena's page bookkeeping, the array encoder's and step's float identity, and
+# arena's page bookkeeping, the array encoder's and step's float identity, the
+# resident self-attention K/V against the gathered pages, and
 # the precision and calibration suites that decode through it.  Each module has
 # one forward body for a Tensor (training) and an array (decode), so the
 # per-module array-vs-Tensor oracles and the training suites run here too.
 test-decode:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/nn/test_decode_equivalence.py tests/nn/test_paged_arena.py tests/nn/test_paged_step_arrays.py tests/nn/test_precision.py tests/nn/test_calibration.py tests/nn/test_layers.py tests/nn/test_attention_transformer.py tests/core/test_model_training.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/nn/test_decode_equivalence.py tests/nn/test_paged_arena.py tests/nn/test_paged_step_arrays.py tests/nn/test_resident_kv.py tests/nn/test_precision.py tests/nn/test_calibration.py tests/nn/test_layers.py tests/nn/test_attention_transformer.py tests/core/test_model_training.py -q
 
 # The streaming contract end to end: chunk wire protocol, reassembly-equals-
 # sync properties, the retrieval index's differential determinism, and the

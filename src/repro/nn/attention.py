@@ -212,7 +212,7 @@ class MultiHeadAttention(Module):
         ``q`` is the ``(rows, heads, 1, head_dim)`` split-head query batch in
         bucket order: ``keys[i]``/``values[i]`` are the stacked ``(rows_i,
         heads, length_i, head_dim)`` histories of the next ``rows_i`` query
-        rows, all of one length (a :meth:`PagedKVArena.gather`, or stored
+        rows, all of one length (a resident self-attention history, or stored
         cross-attention projections).  ``masks[i]`` is a boolean keep mask
         broadcastable to ``(rows_i, 1, 1, length_i)`` or ``None``;
         ``position_biases[i]`` broadcasts to the bucket's scores.  Each bucket

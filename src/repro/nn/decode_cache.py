@@ -17,6 +17,12 @@ hypothesis this way), and the first write into a shared page copies that
 page first, so a fork never aliases its parent.  See ``docs/decoding.md``
 for the layout.
 
+The pages are the only store.  The decode step
+(:class:`~repro.nn.transformer.PagedDecodeBatch`) gathers a bucket's history
+out of them once, when the bucket's membership is new, and then keeps that
+dense copy resident, writing each later position into both; beam search,
+whose forks make every membership new, gathers every step.
+
 Pages hold raw numpy arrays, not autograd tensors (decoding is
 inference-only), in the dtype of the first K/V written: a decode under
 ``autocast("float32")`` caches float32, and a later write in another dtype
@@ -155,9 +161,15 @@ class PagedKVArena:
         One fancy index over the pool serves the whole bucket — a copy, like
         :meth:`PagedSequence.view` (which is the one-row case), laid out per
         row as one contiguous history so attention runs the same inner kernel
-        per ``(row, head)`` whatever shares the bucket.
+        per ``(row, head)`` whatever shares the bucket.  The decode step
+        calls it once per new bucket membership and keeps the copy as the
+        bucket's resident history.  Sequences whose ``layer`` lengths differ
+        raise :class:`ModelConfigError`.
         """
         length = sequences[0]._lengths[layer]
+        if any(sequence._lengths[layer] != length for sequence in sequences):
+            lengths = [sequence._lengths[layer] for sequence in sequences]
+            raise ModelConfigError(f"gather needs equal-length sequences; layer {layer} holds lengths {lengths}")
         positions = np.arange(length)
         needed = -(-length // self.page_size)  # a mid-step sequence may own one page more
         tables = np.asarray([sequence.pages[:needed] for sequence in sequences], dtype=np.int64)
@@ -259,9 +271,8 @@ class PagedSequence:
     table still holds copies that page first, so only a partly filled tail
     page is ever copied, by whichever holder writes into it first.
     :meth:`view` gathers the live positions of one layer back into a dense
-    ``(1, heads, length, head_dim)`` pair for attention — a copy, so released
-    pages being overwritten by another sequence can never alias an in-flight
-    read.  :meth:`release` drops the sequence's hold on every page (pages no
+    ``(1, heads, length, head_dim)`` pair — a copy, so released pages being
+    overwritten by another sequence can never alias an in-flight read.  :meth:`release` drops the sequence's hold on every page (pages no
     other table holds return to the free list); a released sequence rejects
     further use.
     """
@@ -318,7 +329,11 @@ class PagedSequence:
         return self.pages[index] * self.arena.page_size + offset
 
     def view(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gather ``layer``'s live K/V as dense ``(1, heads, length, head_dim)`` copies."""
+        """Gather ``layer``'s live K/V as dense ``(1, heads, length, head_dim)`` copies.
+
+        A read of the store for inspection and tests; the decode step reads
+        a bucket's resident history instead (see :meth:`PagedKVArena.gather`).
+        """
         if self._released:
             raise ModelConfigError("PagedSequence was released; its pages belong to the arena again")
         if self._lengths[layer] == 0:

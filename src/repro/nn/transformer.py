@@ -547,6 +547,10 @@ class PagedDecodeBatch:
     (:mod:`repro.nn.calibration`) see each projection's input as usual.
     :meth:`close` releases every live sequence's pages.
 
+    The pages are the one K/V store; a self-attention bucket also keeps its
+    history resident while its membership holds (see :meth:`_self_history`),
+    so an idle or closed batch holds no buffer.
+
     Inference-only: the model must be in eval mode, and every pass computes
     in the ``dtype`` fixed at construction.
     """
@@ -569,6 +573,8 @@ class PagedDecodeBatch:
         )
         self._slots: list[_PagedSlot | None] = [None] * max_slots
         self._cross_stacks: dict[tuple[int, ...], tuple] = {}  # see _stacked_cross
+        self._resident: dict[tuple[PagedSequence, ...], list] = {}  # see _self_history
+        self._plan: tuple | None = None  # see _step_plan
         self._next_handle = 0
         #: Every token the most recent :meth:`step` emitted, keyed by
         #: sequence handle (finished sequences included).  The hook token
@@ -611,8 +617,7 @@ class PagedDecodeBatch:
         """Drop a live sequence (e.g. its caller gave up), freeing slot and pages."""
         for slot in self._slots:
             if slot is not None and slot.handle == handle:
-                self._vacate(slot)
-                self._cross_stacks = {}
+                self._leave([slot])
                 return
         raise ModelConfigError(f"no live sequence with handle {handle}")
 
@@ -621,7 +626,7 @@ class PagedDecodeBatch:
         for slot in self._slots:
             if slot is not None:
                 self._vacate(slot)
-        self._cross_stacks = {}
+        self._cross_stacks, self._resident = {}, {}
 
     def step(self) -> dict[int, list[int]]:
         """Decode one token for every live sequence; return the newly finished.
@@ -645,9 +650,8 @@ class PagedDecodeBatch:
             slot.last_token = token
             if token == eos_id or len(slot.tokens) >= slot.max_length:
                 finished[slot.handle] = slot.tokens
-                self._vacate(slot)
         if finished:
-            self._cross_stacks = {}  # no stacked K/V outlives a sequence in it
+            self._leave([slot for slot in active if slot.handle in finished])
         return finished
 
     # -- the slot machinery both generate drivers share -------------------------------
@@ -687,6 +691,29 @@ class PagedDecodeBatch:
     def _vacate(self, slot: _PagedSlot) -> None:
         slot.sequence.release()
         self._slots[self._slots.index(slot)] = None
+        self._plan = None
+
+    def _leave(self, slots: list[_PagedSlot]) -> None:
+        """Vacate finished or evicted ``slots`` and drop or shrink every memo that held them.
+
+        A cross stack holding a leaving handle is dropped.  A resident
+        self-attention cohort that only lost members keeps its history by
+        row selection, so the survivors' next step writes in place instead
+        of re-gathering from the pages.
+        """
+        gone = {slot.sequence for slot in slots}
+        handles = {slot.handle for slot in slots}
+        for slot in slots:
+            self._vacate(slot)
+        self._cross_stacks = {key: stack for key, stack in self._cross_stacks.items() if handles.isdisjoint(key)}
+        resident = {}
+        for members, history in self._resident.items():
+            keep = [row for row, sequence in enumerate(members) if sequence not in gone]
+            if len(keep) == len(members):
+                resident[members] = history
+            elif keep:
+                resident[tuple(members[row] for row in keep)] = [(k[keep], v[keep]) for k, v in history]
+        self._resident = resident
 
     def _forward(self) -> tuple[list[_PagedSlot], np.ndarray | None]:
         """Run one decoder pass for every live slot: the slots and their next-token logits.
@@ -701,26 +728,19 @@ class PagedDecodeBatch:
         if not active:
             return active, None
         decoder = self.model.decoder
-        self_order, self_buckets = _bucket_rows([slot.sequence.length for slot in active])
-        cross_order, cross_buckets = _bucket_rows([slot.cross_mask.shape[-1] for slot in active])
-        cross = self._stacked_cross(active, cross_buckets)
+        sequences, self_order, self_buckets, cross_order, cross = self._step_plan(active)
         cross_masks = [mask for _, _, mask in cross]
         step_ids = np.asarray([[slot.last_token] for slot in active], dtype=np.int64)
         hidden = decoder.embedding.forward(step_ids, self.dtype)
-        biases = [
-            decoder.position_bias.decode_row(active[bucket[0]].sequence.length + 1, hidden.dtype)
-            for bucket in self_buckets
-        ]
+        biases = [decoder.position_bias.decode_row(bucket[0].length + 1, hidden.dtype) for bucket in self_buckets]
         for index, layer in enumerate(decoder.layers):
             attention = layer.self_attention
             normed = layer.norm_self.forward(hidden)
             q = attention._split_heads(attention.q_proj.forward(normed))
             k_new = attention._split_heads(attention.k_proj.forward(normed))
             v_new = attention._split_heads(attention.v_proj.forward(normed))
-            self.arena.append_rows(index, [slot.sequence for slot in active], k_new, v_new)
-            keys, values = zip(
-                *(self.arena.gather(index, [active[row].sequence for row in bucket]) for bucket in self_buckets)
-            )
+            self.arena.append_rows(index, sequences, k_new, v_new)
+            keys, values = self._self_history(index, self_order, self_buckets, k_new, v_new)
             hidden = hidden + _attend_rows(attention, self_order, q, keys, values, None, biases)
             attention = layer.cross_attention
             normed = layer.norm_cross.forward(hidden)
@@ -730,6 +750,58 @@ class PagedDecodeBatch:
             hidden = hidden + layer.feed_forward.forward(layer.norm_feed_forward.forward(hidden))
         hidden = decoder.final_norm.forward(hidden)
         return active, self.model.lm_logits(hidden)[:, -1, :]
+
+    def _step_plan(self, active: list[_PagedSlot]) -> tuple:
+        """The step's sequences, self buckets and order, cross order and stacks.
+
+        Memoized while the live sequences stay the same: every history grows
+        by one position a step, so the buckets hold until a row joins,
+        leaves or (beam search) is re-seated on a fork.  A new plan drops the
+        resident history of every membership it no longer holds.
+        """
+        sequences = tuple(slot.sequence for slot in active)
+        if self._plan is None or self._plan[0] != sequences:
+            self_order, self_rows = _bucket_rows([sequence.length for sequence in sequences])
+            cross_order, cross_rows = _bucket_rows([slot.cross_mask.shape[-1] for slot in active])
+            self_buckets = [tuple(sequences[row] for row in bucket) for bucket in self_rows]
+            self._resident = {members: self._resident.get(members, []) for members in self_buckets}
+            self._plan = (sequences, self_order, self_buckets, cross_order, self._stacked_cross(active, cross_rows))
+        return self._plan
+
+    def _self_history(self, layer: int, order, buckets, k_new: np.ndarray, v_new: np.ndarray) -> tuple[list, list]:
+        """Each self-attention bucket's ``layer`` K/V, this step's position included.
+
+        A bucket's history stays resident while its membership (the
+        sequences in it) holds: this step's ``k_new``/``v_new`` rows are
+        written into its ``(rows, heads, capacity, head_dim)`` buffers, whose
+        capacity grows a whole page at a time, and attention reads
+        ``[:, :, :length]`` views laid out per ``(row, head)`` as a gathered
+        copy is, so every matmul is the same.  A membership seen for the
+        first time (a join, a beam fork) gathers from the pages once and
+        keeps the copy as its buffer; one that only lost rows was compacted
+        by :meth:`_leave`.
+        """
+        if order is not None:
+            k_new, v_new = k_new[order], v_new[order]
+        keys, values, start = [], [], 0
+        for members in buckets:
+            history = self._resident[members]
+            if len(history) == layer:  # first seen: the gathered copy becomes the buffer
+                history.append(self.arena.gather(layer, members))
+                k, v = history[layer]
+            else:
+                k, v = history[layer]
+                position = members[0].length - 1
+                if position == k.shape[2]:
+                    page = self.arena.page_size
+                    k, v = history[layer] = _grown(k, position, page), _grown(v, position, page)
+                rows = slice(start, start + len(members))
+                k[:, :, position], v[:, :, position] = k_new[rows, :, 0], v_new[rows, :, 0]
+                k, v = k[:, :, : position + 1], v[:, :, : position + 1]
+            keys.append(k)
+            values.append(v)
+            start += len(members)
+        return keys, values
 
     def _stacked_cross(self, active: list[_PagedSlot], buckets: list[list[int]]) -> list[tuple]:
         """Each source-length bucket's ``(keys per layer, values per layer, mask)``.
@@ -765,6 +837,14 @@ def _bucket_rows(lengths: list[int]) -> tuple[list[int] | None, list[list[int]]]
         buckets.setdefault(length, []).append(row)
     order = [row for bucket in buckets.values() for row in bucket]
     return (None if order == list(range(len(order))) else order), list(buckets.values())
+
+
+def _grown(buffer: np.ndarray, used: int, page_size: int) -> np.ndarray:
+    """``buffer``'s first ``used`` positions in a new buffer whose capacity is the next whole page."""
+    rows, heads, _, head_dim = buffer.shape
+    grown = np.empty((rows, heads, (used // page_size + 1) * page_size, head_dim), dtype=buffer.dtype)
+    grown[:, :, :used] = buffer[:, :, :used]
+    return grown
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
